@@ -48,10 +48,6 @@ class Matrix:
         n = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, key):
         i, j = key
         return self.data[i][j]

@@ -327,11 +327,6 @@ def partition_defect(lam: Partition, p: int) -> int:
     return sum(factorial_valuation(m, p) for m in lam.multiplicities().values())
 
 
-def p_part(x: int, p: int) -> int:
-    """Largest power of the prime ``p`` dividing ``x >= 1``."""
-    return p ** valuation(x, p)
-
-
 def prime_factorization(n: int) -> list[tuple[int, int]]:
     """Prime factorization of ``n >= 2`` as (prime, exponent) pairs."""
     if n < 2:

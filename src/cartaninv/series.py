@@ -64,9 +64,6 @@ class Series:
         n = min(self.order, other.order)
         return Series([a - b for a, b in zip(self.coeffs, other.coeffs)], n)
 
-    def __neg__(self) -> "Series":
-        return Series([-a for a in self.coeffs], self.order)
-
     def __mul__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
@@ -366,10 +363,10 @@ def check_identity(name: str, order: int = 60, ell: int | None = None,
             * core_count_series(ell, order)
         return lhs == cartan_det_series(ell, order)
     if name == "full-and-block":
-        lhs = cartan_det_series(ell, order)
-        rhs = block_det_series(ell, order).substitute_power(ell) \
-            * core_count_series(ell, order)
-        return lhs == rhs
+        # graded multiplicities of the full matrix as block counts times cores
+        rhs = core_count_series(ell, order) \
+            * multipartition_series(ell - 2, order).substitute_power(ell)
+        return invariant_multiplicity_series(ell, order) == rhs
     if name == "block-det":
         lhs = multipartition_series(ell - 2, order) * length_series_direct(order)
         return lhs == block_det_series(ell, order)

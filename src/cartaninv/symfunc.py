@@ -2,9 +2,9 @@
 symmetric functions, in one-color and tensor (multipartition) form.
 
 Expansions are computed by exact multiset combinatorics on exponent
-vectors; no rational arithmetic is involved, and the single-color matrix
-is lower triangular with nonzero diagonal in the canonical partition
-order.
+vectors; no rational arithmetic is involved, and both the single-color
+and the tensor matrix are lower triangular with nonzero diagonal in the
+canonical (multi)partition order.
 """
 
 from __future__ import annotations
@@ -13,21 +13,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import Matrix
-from .partitions import (
-    Multipartition,
-    Partition,
-    index_multipartition,
-    multipartitions,
-    partitions,
-)
+from .partitions import Partition, multipartitions, partitions
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionMatrix:
-    """A square exact matrix together with its row/column label list."""
+    """A square exact matrix together with its row/column label tuple."""
 
     degree: int
-    index: list
+    index: tuple
     matrix: Matrix
 
 
@@ -82,7 +76,7 @@ def power_to_monomial(lam: Partition) -> dict[Partition, int]:
 @lru_cache(maxsize=None)
 def transition_p_to_m(d: int) -> TransitionMatrix:
     """Degree-d matrix expressing power sums in monomials, canonical index."""
-    index = partitions(d)
+    index = tuple(partitions(d))
     rows = []
     for lam in index:
         support = _power_sum_support(lam.parts)
@@ -99,7 +93,7 @@ def transition_tensor(k: int, d: int) -> TransitionMatrix:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    index = multipartitions(k, d)
+    index = tuple(multipartitions(k, d))
     n = len(index)
     degree_vectors = [mp.degree_vector() for mp in index]
     groups: dict[tuple[int, ...], list[int]] = {}

@@ -1,7 +1,8 @@
-from math import factorial
+from math import gcd
 
 import pytest
 
+import cartaninv.invariants as invariants
 from cartaninv.invariants import (
     InvariantMultiset,
     SizeGuardError,
@@ -16,6 +17,7 @@ from cartaninv.invariants import (
     kor_number,
     length_power_diagonal,
     lie_cartan_matrix,
+    tensor_diagonal_blocks,
     tensor_gram_matrix,
     verify_determinants,
     verify_kor_multiset,
@@ -33,6 +35,7 @@ from cartaninv.partitions import (
     total_length,
 )
 from cartaninv.series import class_regular_series, count_multipartitions
+from cartaninv.symfunc import TransitionMatrix, transition_p_to_m, transition_tensor
 
 
 def test_lie_cartan():
@@ -65,6 +68,27 @@ def test_gram_matrix_oracle_agrees():
             assert gram_matrix_oracle(ell, d) == gram_matrix(ell, d)
 
 
+def test_gram_matrices_match_rational_conjugation():
+    # the integer forward substitution against T^-1 * B * T over Fractions
+    for ell in range(2, 7):
+        for d in range(6):
+            t = transition_p_to_m(d).matrix
+            assert gram_matrix(ell, d) == t.inverse() * length_power_diagonal(ell, d) * t
+    for ell in (3, 4):
+        for d in range(4):
+            t = transition_tensor(ell - 1, d).matrix
+            b = tensor_diagonal_blocks(lie_cartan_matrix(ell), d)
+            assert tensor_gram_matrix(ell, d) == t.inverse() * b * t
+
+
+def test_gram_matrix_rejects_non_integral_conjugate(monkeypatch):
+    # with this transition, row (1, 1) of X at ell=2 is [2, 12] / 3
+    fake = TransitionMatrix(2, transition_p_to_m(2).index, Matrix([[1, 0], [1, 3]]))
+    monkeypatch.setattr(invariants, "transition_tensor", lambda k, d: fake)
+    with pytest.raises(ArithmeticError):
+        gram_matrix(2, 2)
+
+
 def test_gram_matrix_size_guard():
     with pytest.raises(SizeGuardError):
         gram_matrix(2, 12, max_index=10)
@@ -94,12 +118,18 @@ def test_graded_invariant_prime_power():
 
 
 def test_graded_invariant_closed_forms_agree_everywhere():
-    # the prime-power routine itself asserts agreement of its two forms
+    # the exponent form against the product of (p^r / gcd(p^r, n))^m_n
+    # times the p-part of m_n!
     for p in (2, 3, 5):
         for r in (1, 2, 3, 4):
             for d in range(11):
                 for lam in partitions(d):
-                    graded_invariant_prime_power(lam, p, r)
+                    alt = 1
+                    for n, m in lam.multiplicities().items():
+                        if n % p ** r:
+                            alt *= (p ** r // gcd(p ** r, n)) ** m \
+                                * p ** factorial_valuation(m, p)
+                    assert graded_invariant_prime_power(lam, p, r) == alt
 
 
 def test_graded_invariant_table_values():

@@ -1,5 +1,8 @@
+from dataclasses import FrozenInstanceError
 from itertools import permutations
 from math import factorial
+
+import pytest
 
 from cartaninv.linalg import Matrix
 from cartaninv.partitions import Partition, partitions
@@ -32,8 +35,11 @@ def test_power_to_monomial_support():
 
 
 def test_lower_triangular_invertible():
-    for d in range(11):
-        t = transition_p_to_m(d)
+    # the integer forward substitution in the matrix builders relies on this
+    cases = [transition_p_to_m(d) for d in range(11)]
+    cases += [transition_tensor(k, d) for k in (2, 3, 4, 5) for d in range(4)]
+    cases += [transition_tensor(2, d) for d in (4, 5, 6)]
+    for t in cases:
         m = t.matrix
         for i in range(m.rows):
             assert m[(i, i)] != 0
@@ -93,3 +99,13 @@ def test_tensor_matches_kron_blocks():
     sub = [[t.matrix[(i, j)] for j in members] for i in members]
     single = transition_p_to_m(1).matrix
     assert Matrix(sub) == single.kron(single)
+
+
+def test_cached_transitions_are_immutable():
+    for t in (transition_p_to_m(3), transition_tensor(2, 2)):
+        with pytest.raises(FrozenInstanceError):
+            t.index = ()
+        with pytest.raises(TypeError):
+            t.index[0] = t.index[1]
+        with pytest.raises(AttributeError):
+            t.index.append(t.index[0])
