@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import invariants as inv
 from . import series as ser
@@ -45,37 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by every subcommand."""
-
-    command: str
-    fmt: str = "table"
-    order: int = ser.DEFAULT_ORDER
-    max_partitions: int = inv.MAX_PARTITION_INDEX
-    max_multipartitions: int = inv.MAX_MULTIPARTITION_INDEX
-    options: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        fmt = getattr(args, "format", "table")
-        if fmt not in ("table", "json"):
-            raise _UsageError(f"unknown output format {fmt!r}")
-        order = getattr(args, "order", ser.DEFAULT_ORDER)
-        if not 0 <= order <= ser.MAX_ORDER:
-            raise _UsageError(f"order must lie in 0..{ser.MAX_ORDER}")
-        max_p = getattr(args, "max_partitions", inv.MAX_PARTITION_INDEX)
-        max_m = getattr(args, "max_multipartitions", inv.MAX_MULTIPARTITION_INDEX)
-        if max_p < 1 or max_m < 1:
-            raise _UsageError("size guards must be positive")
-        options = {
-            k: v for k, v in vars(args).items()
-            if k not in ("command", "format", "order", "max_partitions",
-                         "max_multipartitions")
-        }
-        return cls(command=args.command, fmt=fmt, order=order,
-                   max_partitions=max_p, max_multipartitions=max_m,
-                   options=options)
+def _check_args(args):
+    """The checks argparse cannot make: a ``CARTANINV_FORMAT`` default
+    outside the choices, and a truncation order outside ``0..MAX_ORDER``."""
+    if args.format not in ("table", "json"):
+        raise _UsageError(f"unknown output format {args.format!r}")
+    if not 0 <= getattr(args, "order", 0) <= ser.MAX_ORDER:
+        raise _UsageError(f"order must lie in 0..{ser.MAX_ORDER}")
 
 
 def _build_parser() -> _Parser:
@@ -85,11 +60,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--format", choices=("table", "json"),
                        default=os.environ.get("CARTANINV_FORMAT", "table"))
-        p.add_argument("--order", type=int, default=ser.DEFAULT_ORDER,
-                       help="series truncation order")
-        p.add_argument("--max-partitions", type=int, default=inv.MAX_PARTITION_INDEX)
-        p.add_argument("--max-multipartitions", type=int,
-                       default=inv.MAX_MULTIPARTITION_INDEX)
 
     p = sub.add_parser("invariants", help="graded invariant multisets")
     p.add_argument("--ell", type=int, required=True)
@@ -106,6 +76,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--dmax", type=int)
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
+    p.add_argument("--order", type=int, default=ser.DEFAULT_ORDER,
+                   help="series truncation order")
     common(p)
 
     p = sub.add_parser("matrix", help="print a matrix or its invariant factors")
@@ -119,6 +91,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--name", required=True)
     p.add_argument("--ell", type=int)
     p.add_argument("--k", type=int)
+    p.add_argument("--order", type=int, default=ser.DEFAULT_ORDER,
+                   help="series truncation order")
     common(p)
 
     p = sub.add_parser("seed-tables", help="write the golden files")
@@ -147,7 +121,7 @@ def _full_breakdown(ell: int, n: int, d: int) -> str:
     return "+".join(terms) + f"={total}"
 
 
-def _invariants_payload(args, cfg: RunConfig) -> tuple[dict, list[str]]:
+def _invariants_payload(args) -> tuple[dict, list[str]]:
     if (args.n is None) == (args.weight is None):
         raise _UsageError("provide exactly one of --n or --weight")
     if args.ell < 2:
@@ -214,21 +188,15 @@ def _series_suite(order: int) -> list[inv.VerificationReport]:
     return reports
 
 
-def _det_suite(args, cfg: RunConfig) -> list[inv.VerificationReport]:
-    reports = []
-    if args.ell is not None:
-        d_max = args.dmax if args.dmax is not None else 8
-        reports.append(inv.verify_determinants(
-            args.ell, d_max, max_index=cfg.max_partitions))
-        return reports
-    for ell in (2, 3, 4, 6, 9, 12):
-        reports.append(inv.verify_determinants(
-            ell, 8, max_index=cfg.max_partitions))
-    for p in (2, 3, 5):
-        for r in (1, 2, 3, 4):
-            reports.append(inv.verify_determinants(
-                p ** r, 12, matrix_d_max=-1, max_index=cfg.max_partitions))
-    return reports
+# Each suite's inv.verify_* function by name: looking it up at call time
+# keeps a rebound module attribute (perfbench/spans.py traces that way) live.
+_VERIFIERS = {
+    "det": "verify_determinants",
+    "snf": "verify_snf_conjecture",
+    "splitting": "verify_splitting",
+    "reduction": "verify_reduction",
+    "kor": "verify_kor_multiset",
+}
 
 
 def _degree_range(args, default_d_max: int) -> list[int]:
@@ -238,83 +206,46 @@ def _degree_range(args, default_d_max: int) -> list[int]:
     return list(range(d_max + 1))
 
 
-def _snf_suite(args, cfg: RunConfig) -> list[inv.VerificationReport]:
-    reports = []
+def _suite_calls(suite: str, args) -> list[tuple]:
+    """Argument tuples for the suite's verifier: the given parameters, or
+    the default grid."""
+    if suite == "det":
+        if args.ell is not None:
+            return [(args.ell, args.dmax if args.dmax is not None else 8)]
+        return ([(ell, 8) for ell in (2, 3, 4, 6, 9, 12)]
+                + [(p ** r, 12, -1) for p in (2, 3, 5) for r in (1, 2, 3, 4)])
+    if suite == "snf":
+        if args.ell is not None:
+            return [(args.ell, d) for d in _degree_range(args, 6)]
+        return ([(p ** r, d) for p, r in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (5, 1))
+                 for d in range(9)]
+                + [(ell, d) for ell in (6, 12) for d in range(7)]
+                + [(8, d) for d in range(5)])
+    if suite == "splitting":
+        if args.a is not None and args.b is not None:
+            return [(args.a, args.b, d) for d in _degree_range(args, 4)]
+        return [(a, b, d) for a, b in ((2, 3), (3, 2), (2, 2), (2, 6), (3, 4))
+                for d in range(5)]
+    if suite == "reduction":
+        if args.ell is not None:
+            return [(args.ell, d) for d in _degree_range(args, 2)]
+        return [(ell, d) for ell, d_max in ((3, 3), (4, 2)) for d in range(d_max + 1)]
     if args.ell is not None:
-        for d in _degree_range(args, 6):
-            reports.append(inv.verify_snf_conjecture(
-                args.ell, d, max_index=cfg.max_partitions))
-        return reports
-    for p, r in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (5, 1)):
-        for d in range(9):
-            reports.append(inv.verify_snf_conjecture(
-                p ** r, d, max_index=cfg.max_partitions))
-    for ell in (6, 12):
-        for d in range(7):
-            reports.append(inv.verify_snf_conjecture(
-                ell, d, max_index=cfg.max_partitions))
-    for d in range(5):
-        reports.append(inv.verify_snf_conjecture(
-            8, d, max_index=cfg.max_partitions))
-    return reports
+        return [(args.ell, n) for n in ([args.n] if args.n is not None else range(25))]
+    return [(ell, n) for ell in (4, 6, 12) for n in range(25)]
 
 
-def _splitting_suite(args, cfg: RunConfig) -> list[inv.VerificationReport]:
+def _verify_payload(args) -> tuple[dict, list[str], int]:
+    if args.suite == "det" and args.d is not None:
+        raise _UsageError("verify det takes --dmax, not --d")
+    names = ("series", *_VERIFIERS) if args.suite == "all" else (args.suite,)
     reports = []
-    if args.a is not None and args.b is not None:
-        for d in _degree_range(args, 4):
-            reports.append(inv.verify_splitting(
-                args.a, args.b, d, max_index=cfg.max_partitions))
-        return reports
-    for a, b in ((2, 3), (3, 2), (2, 2), (2, 6), (3, 4)):
-        for d in range(5):
-            reports.append(inv.verify_splitting(
-                a, b, d, max_index=cfg.max_partitions))
-    return reports
-
-
-def _reduction_suite(args, cfg: RunConfig) -> list[inv.VerificationReport]:
-    reports = []
-    if args.ell is not None:
-        for d in _degree_range(args, 2):
-            reports.append(inv.verify_reduction(
-                args.ell, d, max_index=cfg.max_multipartitions))
-        return reports
-    for ell, d_max in ((3, 3), (4, 2)):
-        for d in range(d_max + 1):
-            reports.append(inv.verify_reduction(
-                ell, d, max_index=cfg.max_multipartitions))
-    return reports
-
-
-def _kor_suite(args) -> list[inv.VerificationReport]:
-    reports = []
-    if args.ell is not None:
-        targets = [args.n] if args.n is not None else list(range(25))
-        for n in targets:
-            reports.append(inv.verify_kor_multiset(args.ell, n))
-        return reports
-    for ell in (4, 6, 12):
-        for n in range(25):
-            reports.append(inv.verify_kor_multiset(ell, n))
-    return reports
-
-
-def _verify_payload(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
-    suites = {
-        "series": lambda: _series_suite(cfg.order),
-        "det": lambda: _det_suite(args, cfg),
-        "snf": lambda: _snf_suite(args, cfg),
-        "splitting": lambda: _splitting_suite(args, cfg),
-        "reduction": lambda: _reduction_suite(args, cfg),
-        "kor": lambda: _kor_suite(args),
-    }
-    if args.suite == "all":
-        reports = []
-        for name in ("series", "det", "snf", "splitting", "reduction", "kor"):
-            reports.extend(suites[name]())
-    else:
-        reports = suites[args.suite]()
+    for name in names:
+        if name == "series":
+            reports.extend(_series_suite(args.order))
+            continue
+        verify = getattr(inv, _VERIFIERS[name])
+        reports.extend(verify(*call) for call in _suite_calls(name, args))
     lines = []
     counts = {"verified": 0, "refuted": 0, "unproven-match": 0,
               "unproven-mismatch": 0}
@@ -366,15 +297,14 @@ def _stringify(obj):
 # matrix and series commands
 
 
-def _matrix_payload(args, cfg: RunConfig) -> tuple[dict, list[str]]:
+def _matrix_payload(args) -> tuple[dict, list[str]]:
     kind = args.kind
     if kind in ("X_ell", "X_A", "B_ell") and args.ell is None:
         raise _UsageError(f"matrix {kind} requires --ell")
     if kind == "X_ell":
-        m = inv.gram_matrix(args.ell, args.d, max_index=cfg.max_partitions)
+        m = inv.gram_matrix(args.ell, args.d)
     elif kind == "X_A":
-        m = inv.tensor_gram_matrix(args.ell, args.d,
-                                   max_index=cfg.max_multipartitions)
+        m = inv.tensor_gram_matrix(args.ell, args.d)
     elif kind == "B_ell":
         m = inv.length_power_diagonal(args.ell, args.d)
     else:
@@ -392,13 +322,13 @@ def _matrix_payload(args, cfg: RunConfig) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _series_payload(args, cfg: RunConfig) -> tuple[dict, list[str]]:
+def _series_payload(args) -> tuple[dict, list[str]]:
     try:
-        s = ser.named_series(args.name, order=cfg.order, ell=args.ell, k=args.k)
+        s = ser.named_series(args.name, order=args.order, ell=args.ell, k=args.k)
     except ValueError as exc:
         raise _UsageError(str(exc))
     params = {"name": args.name, "ell": args.ell, "k": args.k,
-              "order": cfg.order}
+              "order": args.order}
     lines = [" ".join(str(c) for c in s.coeffs)]
     payload = {"command": "series", "params": params,
                "coefficients": [str(c) for c in s.coeffs]}
@@ -436,38 +366,27 @@ def _seed_tables(args) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = RunConfig.from_args(args)
+        args = _build_parser().parse_args(argv)
+        _check_args(args)
+        code = EXIT_OK
         if args.command == "invariants":
-            payload, lines = _invariants_payload(args, cfg)
-            code = EXIT_OK
+            payload, lines = _invariants_payload(args)
         elif args.command == "verify":
-            payload, lines, code = _verify_payload(args, cfg)
+            payload, lines, code = _verify_payload(args)
         elif args.command == "matrix":
-            payload, lines = _matrix_payload(args, cfg)
-            code = EXIT_OK
+            payload, lines = _matrix_payload(args)
         elif args.command == "series":
-            payload, lines = _series_payload(args, cfg)
-            code = EXIT_OK
+            payload, lines = _series_payload(args)
         else:
             written = _seed_tables(args)
             payload = {"command": "seed-tables",
                        "params": {"dir": args.dir}, "written": written}
             lines = [f"wrote {p}" for p in written]
-            code = EXIT_OK
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, ValueError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:

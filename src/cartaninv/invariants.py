@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .linalg import Matrix, direct_sum, smith_normal_form, symmetric_power
 from .partitions import (
@@ -37,12 +38,7 @@ MAX_MULTIPARTITION_INDEX = 3000
 
 
 class SizeGuardError(RuntimeError):
-    """Raised when a requested matrix index set exceeds the configured bound."""
-
-
-def _check_guard(size: int, bound: int, what: str):
-    if size > bound:
-        raise SizeGuardError(f"{what} has {size} labels, exceeding the bound {bound}")
+    """Raised when a requested matrix index set exceeds its fixed bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +84,20 @@ def tensor_diagonal_blocks(seed: Matrix, d: int) -> Matrix:
     return direct_sum(blocks)
 
 
-def _conjugated(seed: Matrix, d: int, max_index: int, what: str) -> Matrix:
+def _conjugated(seed: Matrix, d: int, bound: int, what: str) -> Matrix:
     """The integral matrix X = T^-1 * B * T, with T the tensor transition and
     B the symmetric-power blocks of the seed, built with integers only.
 
     T is lower triangular with nonzero diagonal in the canonical order, so
     T * X = B * T is solved row by row by forward substitution; every
     division by T[i][i] must be exact, and a remainder means X is not
-    integral, which is an upstream bug.
+    integral, which is an upstream bug.  An index of more than ``bound``
+    labels raises :class:`SizeGuardError` before any work.
     """
     k = seed.rows
-    _check_guard(count_multipartitions(k, d), max_index, what)
+    size = count_multipartitions(k, d)
+    if size > bound:
+        raise SizeGuardError(f"{what} has {size} labels, exceeding the bound {bound}")
     t = transition_tensor(k, d).matrix.data
     b = tensor_diagonal_blocks(seed, d).data
     n = len(t)
@@ -126,7 +125,7 @@ def _conjugated(seed: Matrix, d: int, max_index: int, what: str) -> Matrix:
     return Matrix(x)
 
 
-def gram_matrix(ell: int, d: int, max_index: int = MAX_PARTITION_INDEX) -> Matrix:
+def gram_matrix(ell: int, d: int) -> Matrix:
     """Integral matrix on degree-d symmetric functions scaling power sums by ell.
 
     Conjugate of diag(ell^length) by the p-to-m transition, built by an
@@ -136,19 +135,18 @@ def gram_matrix(ell: int, d: int, max_index: int = MAX_PARTITION_INDEX) -> Matri
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    return _conjugated(Matrix([[ell]]), d, max_index, f"partition index for d={d}")
+    return _conjugated(Matrix([[ell]]), d, MAX_PARTITION_INDEX,
+                       f"partition index for d={d}")
 
 
-def tensor_gram_matrix(ell: int, d: int,
-                       max_index: int = MAX_MULTIPARTITION_INDEX) -> Matrix:
+def tensor_gram_matrix(ell: int, d: int) -> Matrix:
     """Multipartition-indexed analogue of :func:`gram_matrix` for the seed
     equal to the type-A Lie Cartan matrix; its invariant factors are those
     of a weight-d block of the full Cartan matrix."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    return _conjugated(
-        lie_cartan_matrix(ell), d, max_index, f"multipartition index for ell={ell}, d={d}"
-    )
+    return _conjugated(lie_cartan_matrix(ell), d, MAX_MULTIPARTITION_INDEX,
+                       f"multipartition index for ell={ell}, d={d}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +154,16 @@ def tensor_gram_matrix(ell: int, d: int,
 
 
 @lru_cache(maxsize=None)
-def _power_in_h(n: int) -> dict[tuple[int, ...], Fraction]:
+def _power_in_h(n: int) -> MappingProxyType:
     """Power sum p_n expanded over products of complete homogeneous h's,
-    via the Newton recursion n*h_n = sum_i p_i h_(n-i)."""
-    if n == 1:
-        return {(1,): Fraction(1)}
+    via the Newton recursion n*h_n = sum_i p_i h_(n-i); read-only because
+    the cache shares it."""
     out: dict[tuple[int, ...], Fraction] = {(n,): Fraction(n)}
     for i in range(1, n):
         for key, c in _power_in_h(n - i).items():
             new = tuple(sorted(key + (i,), reverse=True))
             out[new] = out.get(new, Fraction(0)) - c
-    return {k: v for k, v in out.items() if v}
+    return MappingProxyType({k: v for k, v in out.items() if v})
 
 
 def _h_dict_mul(a: dict, b: dict) -> dict:
@@ -179,8 +176,9 @@ def _h_dict_mul(a: dict, b: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _scaled_h(n: int, ell: int) -> dict[tuple[int, ...], Fraction]:
-    """Image of h_n under the ring map p_r -> ell * p_r, in the h basis."""
+def _scaled_h(n: int, ell: int) -> MappingProxyType:
+    """Image of h_n under the ring map p_r -> ell * p_r, in the h basis;
+    read-only because the cache shares it."""
     out: dict[tuple[int, ...], Fraction] = {}
     for kappa in partitions(n):
         coeff = Fraction(ell ** kappa.length, centralizer_order(kappa))
@@ -189,7 +187,7 @@ def _scaled_h(n: int, ell: int) -> dict[tuple[int, ...], Fraction]:
             term = _h_dict_mul(term, _power_in_h(part))
         for key, c in term.items():
             out[key] = out.get(key, Fraction(0)) + coeff * c
-    return {k: v for k, v in out.items() if v}
+    return MappingProxyType({k: v for k, v in out.items() if v})
 
 
 def gram_matrix_oracle(ell: int, d: int) -> Matrix:
@@ -418,14 +416,13 @@ class VerificationReport:
         return self.status in ("verified", "unproven-match")
 
 
-def verify_snf_conjecture(ell: int, d: int,
-                          max_index: int = MAX_PARTITION_INDEX) -> VerificationReport:
+def verify_snf_conjecture(ell: int, d: int) -> VerificationReport:
     """Compare the computed invariant factors with the closed-form chain.
 
     Status is ``verified``/``refuted`` only for prime powers p^r with
     r <= p; other moduli are conjecture range and report ``unproven-*``.
     """
-    x = gram_matrix(ell, d, max_index=max_index)
+    x = gram_matrix(ell, d)
     computed = smith_normal_form(x).invariant_factors
     predicted = graded_to_snf([g.value for g in graded_invariants(ell, d)])
     factorization = prime_factorization(ell)
@@ -443,8 +440,7 @@ def verify_snf_conjecture(ell: int, d: int,
     )
 
 
-def verify_splitting(a: int, b: int, d: int,
-                     max_index: int = MAX_PARTITION_INDEX) -> VerificationReport:
+def verify_splitting(a: int, b: int, d: int) -> VerificationReport:
     """Check the product factorization of the one-color matrices.
 
     The matrix identity holds for any a, b >= 2; when a and b are coprime
@@ -452,9 +448,9 @@ def verify_splitting(a: int, b: int, d: int,
     """
     if a < 2 or b < 2:
         raise ValueError("a and b must be >= 2")
-    xa = gram_matrix(a, d, max_index=max_index)
-    xb = gram_matrix(b, d, max_index=max_index)
-    xab = gram_matrix(a * b, d, max_index=max_index)
+    xa = gram_matrix(a, d)
+    xb = gram_matrix(b, d)
+    xab = gram_matrix(a * b, d)
     ok = xab == xa * xb
     witness: dict = {"matrix_identity": ok}
     if gcd(a, b) == 1:
@@ -475,31 +471,28 @@ def verify_splitting(a: int, b: int, d: int,
     )
 
 
-def _reduction_reference(ell: int, d: int, max_index: int) -> Matrix:
+def _reduction_reference(ell: int, d: int) -> Matrix:
     """Direct sum of identity-tensored one-color matrices, weight by weight."""
     blocks = []
     for s in range(d + 1):
         mult = count_multipartitions(ell - 2, d - s)
         if not mult:
             continue
-        xs = gram_matrix(ell, s, max_index=max_index)
+        xs = gram_matrix(ell, s)
         blocks.append(Matrix.identity(mult).kron(xs))
     return direct_sum(blocks)
 
 
-def verify_reduction(ell: int, d: int,
-                     max_index: int = MAX_MULTIPARTITION_INDEX) -> VerificationReport:
+def verify_reduction(ell: int, d: int) -> VerificationReport:
     """Check that the multipartition matrix reduces to the one-color data.
 
     Compares invariant factors of the tensor matrix with those of the
     block-diagonal reference, and checks that the conjugated symmetric
     powers of the Smith transforms of the seed are unimodular.
     """
-    xa = tensor_gram_matrix(ell, d, max_index=max_index)
+    xa = tensor_gram_matrix(ell, d)
     computed = smith_normal_form(xa).invariant_factors
-    reference = smith_normal_form(
-        _reduction_reference(ell, d, max_index=max_index)
-    ).invariant_factors
+    reference = smith_normal_form(_reduction_reference(ell, d)).invariant_factors
     seed = lie_cartan_matrix(ell)
     snf_seed = smith_normal_form(seed, want_transforms=True)
     det_u = tensor_diagonal_blocks(snf_seed.left, d).det()
@@ -558,16 +551,19 @@ def verify_kor_multiset(ell: int, n: int) -> VerificationReport:
     )
 
 
-def verify_determinants(ell: int, d_max: int, matrix_d_max: int | None = None,
-                        max_index: int = MAX_PARTITION_INDEX) -> VerificationReport:
+def verify_determinants(ell: int, d_max: int,
+                        matrix_d_max: int | None = None) -> VerificationReport:
     """Determinant identities for the one-color matrices.
 
     The product of the graded invariant factors over partitions of d must
     equal ell^(total length) for every d <= d_max.  Matrix determinants
     are checked against the same power for d up to ``matrix_d_max``
     (default: d_max), which may be lowered since the closed form is far
-    cheaper than a matrix build.
+    cheaper than a matrix build.  A negative d_max checks nothing and is
+    rejected rather than reported as verified.
     """
+    if d_max < 0:
+        raise ValueError("d_max must be >= 0")
     if matrix_d_max is None:
         matrix_d_max = d_max
     failures = []
@@ -582,7 +578,7 @@ def verify_determinants(ell: int, d_max: int, matrix_d_max: int | None = None,
         if product != expected:
             failures.append(d)
         if d <= matrix_d_max:
-            det = gram_matrix(ell, d, max_index=max_index).det()
+            det = gram_matrix(ell, d).det()
             entry["det"] = det
             if det != expected:
                 failures.append(d)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .linalg import Matrix
 from .partitions import Partition, multipartitions, partitions
@@ -59,11 +60,12 @@ def _multiply_power_sum(support: dict[tuple[int, ...], int], r: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _power_sum_support(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def _power_sum_support(parts: tuple[int, ...]) -> MappingProxyType:
+    """Monomial expansion of a power sum, read-only because the cache shares it."""
     support = {(): 1}
     for r in parts:
         support = _multiply_power_sum(support, r)
-    return support
+    return MappingProxyType(support)
 
 
 def power_to_monomial(lam: Partition) -> dict[Partition, int]:

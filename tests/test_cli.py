@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -72,6 +73,39 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "matrix", "X_ell", "--d", "2")
     assert code == 1 and "requires --ell" in err
+    # the label-count guards are fixed, and --order belongs to verify and series
+    code, _, err = run(capsys, "matrix", "X_ell", "--ell", "4", "--d", "2",
+                       "--max-partitions", "5")
+    assert code == 1 and "unrecognized" in err
+    code, _, err = run(capsys, "invariants", "--ell", "4", "--n", "3",
+                       "--order", "5")
+    assert code == 1 and "unrecognized" in err
+    # verify det checks degrees 0..d_max: an empty range or a single --d is
+    # an error, not a vacuous or silently widened run
+    code, out, err = run(capsys, "verify", "det", "--ell", "4", "--dmax", "-1")
+    assert code == 1 and out == "" and "d_max" in err
+    code, out, err = run(capsys, "verify", "det", "--ell", "4", "--d", "3")
+    assert code == 1 and out == "" and "--dmax" in err
+
+
+# stdout sha256 of whole runs; verify all is also pinned by perfbench/run.py
+STDOUT_DIGESTS = {
+    "verify all":
+        "05a3c8d2817b5f4a0f97fb68199aa15500be220de66bce91128a78c88cc67b7d",
+    "invariants --ell 6 --n 18 --format json":
+        "a723b16ecca271116b335ffb873b73049cc9a0cec394878962e1e16e4d63cc09",
+    "matrix X_A --ell 4 --d 2 --snf --format json":
+        "f59621888cf8517bb8f7e3f339cf6bceff15df2db8ca5ccd634cb8eb4a5fb648",
+    "verify reduction --ell 3 --d 2 --format json":
+        "9a21ea249926159f09d3a54adb4653621a9d14c8f29a90273ffe4b4fa53acfb4",
+}
+
+
+def test_stdout_digests(capsys):
+    for line, digest in STDOUT_DIGESTS.items():
+        code, out, _ = run(capsys, *line.split())
+        assert code == 0, line
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, line
 
 
 def test_size_guard_exit(capsys):

@@ -90,10 +90,16 @@ def test_gram_matrix_rejects_non_integral_conjugate(monkeypatch):
 
 
 def test_gram_matrix_size_guard():
-    with pytest.raises(SizeGuardError):
-        gram_matrix(2, 12, max_index=10)
-    with pytest.raises(SizeGuardError):
-        tensor_gram_matrix(3, 4, max_index=5)
+    with pytest.raises(SizeGuardError, match="1002 labels, exceeding the bound 1000"):
+        gram_matrix(2, 22)
+    with pytest.raises(SizeGuardError, match="24842 labels, exceeding the bound 3000"):
+        tensor_gram_matrix(3, 20)
+
+
+def test_cached_h_expansions_are_read_only():
+    for cached in (invariants._power_in_h(3), invariants._scaled_h(2, 3)):
+        with pytest.raises(TypeError):
+            cached[(1, 1)] = 0
 
 
 def test_tensor_gram_matrix():
@@ -338,6 +344,9 @@ def test_verify_determinants():
     assert verify_determinants(6, 5).status == "verified"
     # the closed-form identity also holds past the proven invariant range
     assert verify_determinants(16, 10, matrix_d_max=3).status == "verified"
+    # an empty degree range checks nothing, so it must not report verified
+    with pytest.raises(ValueError):
+        verify_determinants(4, -1)
 
 
 def test_block_invariant_counts_and_max():

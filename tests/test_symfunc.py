@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from cartaninv import symfunc
 from cartaninv.linalg import Matrix
 from cartaninv.partitions import Partition, partitions
 from cartaninv.symfunc import power_to_monomial, transition_p_to_m, transition_tensor
@@ -109,3 +110,5 @@ def test_cached_transitions_are_immutable():
             t.index[0] = t.index[1]
         with pytest.raises(AttributeError):
             t.index.append(t.index[0])
+    with pytest.raises(TypeError):
+        symfunc._power_sum_support((2, 1))[(3,)] = 0
