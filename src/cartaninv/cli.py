@@ -49,7 +49,8 @@ def _check_args(args):
     outside the choices, and a truncation order outside ``0..MAX_ORDER``."""
     if args.format not in ("table", "json"):
         raise _UsageError(f"unknown output format {args.format!r}")
-    if not 0 <= getattr(args, "order", 0) <= ser.MAX_ORDER:
+    order = getattr(args, "order", None)
+    if order is not None and not 0 <= order <= ser.MAX_ORDER:
         raise _UsageError(f"order must lie in 0..{ser.MAX_ORDER}")
 
 
@@ -68,16 +69,16 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("series", "det", "snf", "splitting",
-                                     "reduction", "kor", "all"))
+    p.add_argument("suite", choices=tuple(_VERIFIERS))
     p.add_argument("--ell", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--dmax", type=int)
+    degrees = p.add_mutually_exclusive_group()
+    degrees.add_argument("--d", type=int)
+    degrees.add_argument("--dmax", type=int)
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
-    p.add_argument("--order", type=int, default=ser.DEFAULT_ORDER,
-                   help="series truncation order")
+    p.add_argument("--order", type=int,
+                   help=f"series truncation order (default {ser.DEFAULT_ORDER})")
     common(p)
 
     p = sub.add_parser("matrix", help="print a matrix or its invariant factors")
@@ -188,15 +189,34 @@ def _series_suite(order: int) -> list[inv.VerificationReport]:
     return reports
 
 
-# Each suite's inv.verify_* function by name: looking it up at call time
-# keeps a rebound module attribute (perfbench/spans.py traces that way) live.
+# suite -> (its inv.verify_* function by name, its key flags, the flags it
+# reads only together with all its key flags).  Looking the function up at
+# call time keeps a rebound module attribute (perfbench/spans.py traces that
+# way) live.  "all" runs every other suite on its default grid.
 _VERIFIERS = {
-    "det": "verify_determinants",
-    "snf": "verify_snf_conjecture",
-    "splitting": "verify_splitting",
-    "reduction": "verify_reduction",
-    "kor": "verify_kor_multiset",
+    "series": (None, (), ("order",)),
+    "det": ("verify_determinants", ("ell",), ("dmax",)),
+    "snf": ("verify_snf_conjecture", ("ell",), ("d", "dmax")),
+    "splitting": ("verify_splitting", ("a", "b"), ("d", "dmax")),
+    "reduction": ("verify_reduction", ("ell",), ("d", "dmax")),
+    "kor": ("verify_kor_multiset", ("ell",), ("n",)),
+    "all": (None, (), ("order",)),
 }
+
+
+def _check_suite_flags(args):
+    """Reject a flag the suite does not read, or one given without the
+    suite's key flags, instead of silently running another grid."""
+    _, keys, others = _VERIFIERS[args.suite]
+    given = [k for k, v in vars(args).items()
+             if v is not None and k not in ("command", "suite", "format")]
+    for flag in given:
+        if flag not in keys + others:
+            takes = ", ".join(f"--{f}" for f in keys + others)
+            raise _UsageError(f"verify {args.suite} takes {takes}, not --{flag}")
+    if given and any(getattr(args, k) is None for k in keys):
+        need = " and ".join(f"--{k}" for k in keys)
+        raise _UsageError(f"verify {args.suite} needs {need} with --{given[0]}")
 
 
 def _degree_range(args, default_d_max: int) -> list[int]:
@@ -222,7 +242,7 @@ def _suite_calls(suite: str, args) -> list[tuple]:
                 + [(ell, d) for ell in (6, 12) for d in range(7)]
                 + [(8, d) for d in range(5)])
     if suite == "splitting":
-        if args.a is not None and args.b is not None:
+        if args.a is not None:
             return [(args.a, args.b, d) for d in _degree_range(args, 4)]
         return [(a, b, d) for a, b in ((2, 3), (3, 2), (2, 2), (2, 6), (3, 4))
                 for d in range(5)]
@@ -236,15 +256,16 @@ def _suite_calls(suite: str, args) -> list[tuple]:
 
 
 def _verify_payload(args) -> tuple[dict, list[str], int]:
-    if args.suite == "det" and args.d is not None:
-        raise _UsageError("verify det takes --dmax, not --d")
-    names = ("series", *_VERIFIERS) if args.suite == "all" else (args.suite,)
+    _check_suite_flags(args)
+    order = ser.DEFAULT_ORDER if args.order is None else args.order
+    names = ([s for s in _VERIFIERS if s != "all"] if args.suite == "all"
+             else [args.suite])
     reports = []
     for name in names:
         if name == "series":
-            reports.extend(_series_suite(args.order))
+            reports.extend(_series_suite(order))
             continue
-        verify = getattr(inv, _VERIFIERS[name])
+        verify = getattr(inv, _VERIFIERS[name][0])
         reports.extend(verify(*call) for call in _suite_calls(name, args))
     lines = []
     counts = {"verified": 0, "refuted": 0, "unproven-match": 0,

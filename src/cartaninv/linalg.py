@@ -52,9 +52,6 @@ class Matrix:
         i, j = key
         return self.data[i][j]
 
-    def row(self, i: int):
-        return self.data[i]
-
     def is_integral(self) -> bool:
         return all(isinstance(x, int) for row in self.data for x in row)
 
@@ -81,15 +78,6 @@ class Matrix:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
         )
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.data])
-
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(
@@ -97,22 +85,19 @@ class Matrix:
             )
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-                )
-            bt = list(zip(*other.data))
-            return Matrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in bt]
-                    for row in self.data
-                ]
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return Matrix([[x * other for x in row] for row in self.data])
-
-    def __rmul__(self, other):
-        return Matrix([[other * x for x in row] for row in self.data])
+        bt = list(zip(*other.data))
+        return Matrix(
+            [
+                [sum(a * b for a, b in zip(row, col)) for col in bt]
+                for row in self.data
+            ]
+        )
 
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.data)))
@@ -285,42 +270,20 @@ def smith_normal_form(mat: Matrix, want_transforms: bool = False) -> SnfResult:
     and before each pivot is finalized every remaining entry is forced to
     be divisible by it, so the diagonal comes out as a divisibility chain
     directly.  Entry growth is handled by arbitrary-precision ints.
+
+    For an n x m input A the working array is A itself, or with
+    ``want_transforms`` the augmented ``[[A, I_n], [I_m, 0]]``.  Row
+    operations act on whole rows, so columns m.. of the first n rows carry
+    ``left``; column operations walk every row, so rows n.. carry
+    ``right``.  Pivot search and reduction read only the n x m block of A.
     """
     if not mat.is_integral():
         raise ValueError("smith_normal_form requires an integral matrix")
     n, m = mat.rows, mat.cols
     a = [list(row) for row in mat.data]
-    left = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_transforms else None
-    right = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_transforms else None
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if left is not None:
-            left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if right is not None:
-            for row in right:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, factor):
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        if left is not None:
-            left[dst] = [x + factor * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(dst, src, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        if right is not None:
-            for row in right:
-                row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if left is not None:
-            left[i] = [-x for x in left[i]]
+    if want_transforms:
+        a = [row + [int(i == k) for k in range(n)] for i, row in enumerate(a)]
+        a += [[int(j == k) for k in range(m)] + [0] * n for j in range(m)]
 
     factors = []
     for t in range(min(n, m)):
@@ -332,55 +295,48 @@ def smith_normal_form(mat: Matrix, want_transforms: bool = False) -> SnfResult:
                     best = (i, j)
         if best is None:
             break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
+        r, c = best  # the row and column to swap into position t
         while True:
+            if r != t:
+                a[t], a[r] = a[r], a[t]
+            if c != t:
+                for row in a:
+                    row[t], row[c] = row[c], row[t]
+            r = c = t
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
             p = a[t][t]
-            moved = False
             for i in range(t + 1, n):
                 q = a[i][t] // p
                 if q:
-                    add_row(i, t, -q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                 if a[i][t]:
                     # remainder is smaller than the pivot; promote it
-                    swap_rows(t, i)
-                    moved = True
+                    r = i
                     break
-            if moved:
+            if r != t:
                 continue
             for j in range(t + 1, m):
                 q = a[t][j] // p
                 if q:
-                    add_col(j, t, -q)
+                    for row in a:
+                        row[j] -= q * row[t]
                 if a[t][j]:
-                    swap_cols(t, j)
-                    moved = True
+                    c = j
                     break
-            if moved:
+            if c != t:
                 continue
-            bad = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if a[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is not None:
-                add_row(t, bad, 1)
-                continue
-            break
+            bad = next((i for i in range(t + 1, n)
+                        if any(x % p for x in a[i][t + 1:m])), None)
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
         factors.append(a[t][t])
     factors.extend([0] * (min(n, m) - len(factors)))
-    return SnfResult(
-        invariant_factors=tuple(factors),
-        left=Matrix(left) if want_transforms else None,
-        right=Matrix(right) if want_transforms else None,
-    )
+    if not want_transforms:
+        return SnfResult(tuple(factors))
+    return SnfResult(tuple(factors), left=Matrix([row[m:] for row in a[:n]]),
+                     right=Matrix([row[:m] for row in a[n:]]))
 
 
 def invariant_factors(mat: Matrix) -> tuple[int, ...]:

@@ -43,9 +43,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def multiplicity(self, r: int) -> int:
-        return self.parts.count(r)
-
     def multiplicities(self) -> dict[int, int]:
         """Map part value -> number of occurrences, keys descending."""
         out: dict[int, int] = {}

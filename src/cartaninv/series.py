@@ -39,13 +39,6 @@ class Series:
     def one(cls, order: int) -> "Series":
         return cls([1], order)
 
-    @classmethod
-    def monomial(cls, degree: int, order: int, coeff: int = 1) -> "Series":
-        c = [0] * (order + 1)
-        if degree <= order:
-            c[degree] = coeff
-        return cls(c, order)
-
     def coeff(self, d: int) -> int:
         if not 0 <= d <= self.order:
             raise ValueError(f"degree {d} outside truncation order {self.order}")

@@ -86,6 +86,22 @@ def test_usage_errors(capsys):
     assert code == 1 and out == "" and "d_max" in err
     code, out, err = run(capsys, "verify", "det", "--ell", "4", "--d", "3")
     assert code == 1 and out == "" and "--dmax" in err
+    # every suite rejects a flag it does not read, or one given without its
+    # key flags, instead of silently running its default grid
+    for argv, flag in [
+        ("splitting --a 2", "--b"),
+        ("splitting --ell 5", "--ell"),
+        ("kor --ell 4 --d 3", "--d"),
+        ("snf --n 3", "--n"),
+        ("snf --d 3", "--ell"),
+        ("snf --ell 4 --d 2 --dmax 5", "--dmax"),
+        ("all --ell 3", "--ell"),
+        ("series --ell 4", "--ell"),
+        ("snf --ell 4 --order 5", "--order"),
+        ("det --dmax 5", "--ell"),
+    ]:
+        code, out, err = run(capsys, "verify", *argv.split())
+        assert code == 1 and out == "" and flag in err, argv
 
 
 # stdout sha256 of whole runs; verify all is also pinned by perfbench/run.py

@@ -181,3 +181,28 @@ def test_snf_large_entries():
     m = Matrix([[big, 1], [0, big]])
     chain = invariant_factors(m)
     assert chain == (1, big * big)
+
+
+def test_snf_matches_sympy():
+    # an independent oracle; the transform-carrying array must give the same
+    # chain, including on non-square inputs where left and right differ in size
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(31)
+    deficient = 0
+    for trial in range(90):
+        rows = rng.randint(1, 7)
+        cols = rows if trial % 3 == 0 else rng.randint(1, 7)
+        m = Matrix([[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)])
+        if trial % 3 == 2 and min(rows, cols) > 1:
+            rank = rng.randint(1, min(rows, cols) - 1)
+            u = Matrix([[rng.randint(-5, 5) for _ in range(rank)] for _ in range(rows)])
+            v = Matrix([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rank)])
+            m = u * v
+        expected = tuple(int(x) for x in sympy_factors(sympy.Matrix(m.data), domain=ZZ))
+        assert invariant_factors(m) == expected
+        assert smith_normal_form(m, want_transforms=True).invariant_factors == expected
+        deficient += 0 in expected
+    assert deficient >= 10
