@@ -220,9 +220,13 @@ def _check_suite_flags(args):
 
 
 def _degree_range(args, default_d_max: int) -> list[int]:
+    """The single --d, or degrees 0..--dmax; a negative --dmax would check
+    nothing and is rejected rather than reported as a clean run."""
     if args.d is not None:
         return [args.d]
     d_max = args.dmax if args.dmax is not None else default_d_max
+    if d_max < 0:
+        raise _UsageError("--dmax must be >= 0")
     return list(range(d_max + 1))
 
 

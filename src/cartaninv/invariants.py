@@ -91,9 +91,12 @@ def _conjugated(seed: Matrix, d: int, bound: int, what: str) -> Matrix:
     T is lower triangular with nonzero diagonal in the canonical order, so
     T * X = B * T is solved row by row by forward substitution; every
     division by T[i][i] must be exact, and a remainder means X is not
-    integral, which is an upstream bug.  An index of more than ``bound``
-    labels raises :class:`SizeGuardError` before any work.
+    integral, which is an upstream bug.  A negative d raises ``ValueError``
+    and an index of more than ``bound`` labels raises
+    :class:`SizeGuardError`, both before any work.
     """
+    if d < 0:
+        raise ValueError("d must be >= 0")
     k = seed.rows
     size = count_multipartitions(k, d)
     if size > bound:
@@ -355,6 +358,8 @@ def kor_invariants(ell: int, n: int) -> InvariantMultiset:
     """The multiset of KOR numbers over ell-class-regular partitions of n."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     entries: dict[int, int] = {}
     for mu in class_regular_partitions(n, ell):
         _add_entry(entries, kor_number(mu, ell), 1)

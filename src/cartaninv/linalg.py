@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 def _norm(x):
@@ -262,9 +263,90 @@ class SnfResult:
         return Matrix(out)
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b == g == gcd(a, b), for a, b >= 0."""
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return a, u0, v0
+
+
+def _clear_first_column(a: list[list[int]], mod: int) -> bool:
+    """Zero a[i][0] for i > 0 by unimodular row operations modulo ``mod``.
+
+    Returns whether row 0 changed, which may leave its other entries dirty.
+    A pivot that already divides the entry gets a plain multiple
+    subtracted: the extended gcd of (p, p) is (0, 1), a swap that would
+    never lower the pivot.
+    """
+    moved = False
+    for i in range(1, len(a)):
+        b = a[i][0]
+        if not b:
+            continue
+        top, row = a[0], a[i]
+        p = top[0]
+        if p and not b % p:
+            q = b // p
+            a[i] = [(y - q * x) % mod for x, y in zip(top, row)]
+            continue
+        g, u, v = _xgcd(p, b)
+        pg, bg = p // g, b // g
+        a[0] = [(u * x + v * y) % mod for x, y in zip(top, row)]
+        a[i] = [(pg * y - bg * x) % mod for x, y in zip(top, row)]
+        moved = True
+    return moved
+
+
+def _snf_mod_det(rows, det: int) -> tuple[int, ...]:
+    """Invariant factors of a nonsingular square matrix with |det| = ``det``,
+    by elimination modulo a shrinking R (Hafner-McCurley; Cohen, Alg. 2.4.14).
+
+    det * Z^n lies in the column lattice, so Z^n / (lattice + R Z^n) is the
+    cokernel while R is its order.  Each stage clears the pivot's column
+    and row mod R (the row on the transpose, which has the same factors),
+    makes gcd(pivot, R) divide the rest, then takes f = gcd(pivot, R) as
+    the next factor and goes on with the rest modulo R // f.
+    """
+    mod = det
+    a = [[x % mod for x in row] for row in rows]
+    factors = []
+    while a:
+        _clear_first_column(a, mod)
+        a = [list(col) for col in zip(*a)]
+        while True:
+            # row 0 is clean; the pass leaves it so unless the pivot moved
+            moved = _clear_first_column(a, mod)
+            a = [list(col) for col in zip(*a)]
+            if moved:
+                continue
+            f = gcd(a[0][0], mod)
+            bad = next((j for row in a[1:] for j, x in enumerate(row) if x % f), None)
+            if bad is None:
+                break
+            for row in a:  # puts an entry f does not divide into column 0
+                row[0] = (row[0] + row[bad]) % mod
+        factors.append(f)
+        mod //= f
+        a = [[x % mod for x in row[1:]] for row in a[1:]]
+    if mod != 1 or any(y % x for x, y in zip(factors, factors[1:])):
+        raise ArithmeticError(
+            f"modular SNF {factors} does not multiply to |det| = {det} as a chain")
+    return tuple(factors)
+
+
 def smith_normal_form(mat: Matrix, want_transforms: bool = False) -> SnfResult:
     """Smith normal form of an integral matrix.
 
+    Without transforms, a square input with nonzero determinant D (by
+    Bareiss) is reduced modulo D, so no entry exceeds D: see
+    :func:`_snf_mod_det`.  That route checks itself: the factors must form
+    a divisibility chain whose product is D, else ``ArithmeticError``.
+
+    Transforms, rectangular and singular input take the route over Z.
     Pivots are chosen as the nonzero entry of minimal absolute value in the
     remaining submatrix; rows and columns are reduced with floor division,
     and before each pivot is finalized every remaining entry is forced to
@@ -279,6 +361,10 @@ def smith_normal_form(mat: Matrix, want_transforms: bool = False) -> SnfResult:
     """
     if not mat.is_integral():
         raise ValueError("smith_normal_form requires an integral matrix")
+    if not want_transforms and mat.is_square():
+        det = abs(mat._det_bareiss())
+        if det:
+            return SnfResult(_snf_mod_det(mat.data, det))
     n, m = mat.rows, mat.cols
     a = [list(row) for row in mat.data]
     if want_transforms:

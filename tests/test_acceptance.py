@@ -8,6 +8,7 @@ from cartaninv.invariants import (
     block_invariants,
     full_invariants,
     graded_invariant,
+    graded_to_snf,
     tensor_gram_matrix,
     verify_determinants,
     verify_kor_multiset,
@@ -160,6 +161,18 @@ def test_criterion_9_reduction():
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     _report(9, f"tensor-space reduction and unimodular transforms "
+               f"({elapsed:.2f}s)")
+
+
+def test_criterion_9_table2_block_from_its_matrix():
+    # the weight-4 block of Table 2 at ell=6 (golden/table2_block_ell6_w4.txt),
+    # from the Smith form of the actual 190 x 190 multipartition matrix
+    start = time.perf_counter()
+    x = tensor_gram_matrix(6, 4)
+    assert x.rows == 190
+    assert invariant_factors(x) == graded_to_snf(block_invariants(6, 4))
+    elapsed = time.perf_counter() - start
+    _report(9, f"Table 2 weight-4 block at ell=6 from its 190x190 matrix "
                f"({elapsed:.2f}s)")
 
 

@@ -86,6 +86,20 @@ def test_usage_errors(capsys):
     assert code == 1 and out == "" and "d_max" in err
     code, out, err = run(capsys, "verify", "det", "--ell", "4", "--d", "3")
     assert code == 1 and out == "" and "--dmax" in err
+    # a negative degree bound, degree or size is an error in every suite and
+    # matrix kind, with a message naming it
+    for argv, message in [
+        ("verify snf --ell 4 --dmax -1", "--dmax must be >= 0"),
+        ("verify reduction --ell 4 --dmax -2", "--dmax must be >= 0"),
+        ("verify splitting --a 2 --b 3 --dmax -1", "--dmax must be >= 0"),
+        ("verify snf --ell 4 --d -1", "d must be >= 0"),
+        ("verify reduction --ell 3 --d -1", "d must be >= 0"),
+        ("verify kor --ell 4 --n -1", "n must be >= 0"),
+        ("matrix X_ell --ell 4 --d -1", "d must be >= 0"),
+        ("matrix X_A --ell 3 --d -1", "d must be >= 0"),
+    ]:
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == "" and message in err, argv
     # every suite rejects a flag it does not read, or one given without its
     # key flags, instead of silently running its default grid
     for argv, flag in [

@@ -31,6 +31,7 @@ from cartaninv.partitions import (
     class_regular_partitions,
     factorial_valuation,
     partitions,
+    prime_factorization,
     repeat_parts,
     total_length,
 )
@@ -291,6 +292,17 @@ def test_verify_snf_conjecture_statuses():
     assert r.status in ("unproven-match", "unproven-mismatch")
 
 
+def test_verify_snf_conjecture_past_the_cli_grid():
+    # d <= 10 reaches 42 labels, past the CLI's default grids (d <= 8)
+    for ell in range(2, 13):
+        (p, r), *rest = prime_factorization(ell)
+        theorem = not rest and r <= p
+        for d in range(11):
+            report = verify_snf_conjecture(ell, d)
+            assert report.ok, (ell, d, report.witness)
+            assert (report.status == "verified") == theorem, (ell, d)
+
+
 def test_verify_splitting():
     r = verify_splitting(2, 3, 2)
     assert r.status == "verified"
@@ -321,7 +333,7 @@ def test_verify_reduction():
         assert r.status == "verified"
         assert abs(r.witness["det_left"]) == 1
         assert abs(r.witness["det_right"]) == 1
-    for d in range(3):
+    for d in range(5):
         assert verify_reduction(4, d).status == "verified"
     assert verify_reduction(2, 4).status == "verified"
 

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from cartaninv.invariants import gram_matrix, graded_invariants, graded_to_snf
 from cartaninv.linalg import (
     Matrix,
     direct_sum,
@@ -206,3 +207,47 @@ def test_snf_matches_sympy():
         assert smith_normal_form(m, want_transforms=True).invariant_factors == expected
         deficient += 0 in expected
     assert deficient >= 10
+
+
+def test_snf_pivot_equal_to_later_entry():
+    # the extended gcd of (2, 2) is a swap that keeps the pivot at 2; the
+    # modular route must subtract a multiple instead, or it cycles here
+    assert invariant_factors(Matrix([[2, 2], [0, 2]])) == (2, 2)
+    assert invariant_factors(Matrix([[4, 6], [2, 2]])) == (2, 2)
+    assert invariant_factors(gram_matrix(3, 9)) == graded_to_snf(
+        [g.value for g in graded_invariants(3, 9)])
+
+
+def _unimodular(rng, n, lower):
+    return Matrix([[rng.choice((-1, 1)) if i == j
+                    else (rng.randint(-30, 30) if (i > j) == lower else 0)
+                    for j in range(n)] for i in range(n)])
+
+
+def test_snf_of_scrambled_known_chain():
+    # U * diag(chain) * V with unimodular U and V has exactly that chain
+    rng = random.Random(11)
+    big = 2 ** 64 + 13
+    huge = repeated = 0
+    for trial in range(40):
+        n = rng.randint(1, 7)
+        chain, d = [], 1
+        for _ in range(n):
+            d *= rng.choice((1, 1, 2, 3, 6, big if trial % 4 == 0 else 5))
+            chain.append(d)
+        u = _unimodular(rng, n, True) * _unimodular(rng, n, False)
+        v = _unimodular(rng, n, False) * _unimodular(rng, n, True)
+        m = u * Matrix.diagonal(chain) * v
+        assert invariant_factors(m) == tuple(chain), chain
+        assert smith_normal_form(m, want_transforms=True).invariant_factors == tuple(chain)
+        huge += chain[-1] > big
+        repeated += len(set(chain)) < n
+    assert huge >= 4 and repeated >= 10
+
+
+def test_snf_modular_route_checks_its_product(monkeypatch):
+    m = Matrix([[4, 6, 1], [2, 2, 0], [1, 5, 9]])
+    true_det = Matrix._det_bareiss
+    monkeypatch.setattr(Matrix, "_det_bareiss", lambda self: 2 * true_det(self))
+    with pytest.raises(ArithmeticError, match="does not multiply to"):
+        invariant_factors(m)
