@@ -21,16 +21,15 @@ from .linalg import Matrix, direct_sum, smith_normal_form, symmetric_power
 from .partitions import (
     Partition,
     centralizer_order,
-    class_regular_partitions,
     factorial_valuation,
     is_prime,
     partitions,
     prime_factorization,
-    regular_split,
     total_length,
     valuation,
 )
-from .series import count_multipartitions, multiplicity_m
+from .series import (class_regular_series, count_multipartitions, multiplicity_m,
+                     partition_series, regular_class_regular_series)
 from .symfunc import transition_tensor
 
 MAX_PARTITION_INDEX = 1000
@@ -313,20 +312,40 @@ def _add_entry(entries: dict[int, int], value: int, mult: int):
         entries[value] = entries.get(value, 0) + mult
 
 
-def _graded_multiset(ell: int, degree_mults) -> InvariantMultiset:
+def _multiset_product(n: int, parts, value) -> list[dict[int, int]]:
+    """Coefficients of q^0..q^n in prod_{k in parts} sum_m x^value(k, m) q^(k m),
+    each a {value: count} dict.  Both closed forms multiply over part sizes,
+    so value(k, m) is the closed form of the partition k^m."""
+    coeffs: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    coeffs[0][1] = 1
+    for k in parts:
+        factor = [value(k, m) for m in range(1, n // k + 1)]
+        # descending degrees, so coeffs[j - k*m] still lacks the factor
+        for j in range(n, k - 1, -1):
+            out = coeffs[j]
+            for m, v in enumerate(factor[: j // k], start=1):
+                for w, c in coeffs[j - k * m].items():
+                    out[v * w] = out.get(v * w, 0) + c
+    return coeffs
+
+
+def _graded_multiset(ell: int, mults: list[int]) -> InvariantMultiset:
     """Graded invariant factors over the partitions of each degree d, with
-    multiplicity mult, for the (d, mult) pairs given; recorded per degree too."""
+    multiplicity mults[d]; recorded per degree too.  One product over part
+    sizes gives every layer; layer d must count p(d) partitions."""
+    top = len(mults) - 1
+    layers = _multiset_product(top, range(1, top + 1),
+                               lambda k, m: graded_invariant(Partition((k,) * m), ell))
+    counts = partition_series(top).coeffs
     entries: dict[int, int] = {}
     by_degree: dict[int, dict[int, int]] = {}
-    for d, mult in degree_mults:
-        if not mult:
-            continue
-        layer: dict[int, int] = {}
-        for lam in partitions(d):
-            value = graded_invariant(lam, ell)
-            _add_entry(entries, value, mult)
-            _add_entry(layer, value, mult)
-        by_degree[d] = layer
+    for d, (mult, layer) in enumerate(zip(mults, layers)):
+        if sum(layer.values()) != counts[d]:
+            raise ArithmeticError(f"graded layer {d} does not count the partitions of {d}")
+        if mult:
+            by_degree[d] = {v: c * mult for v, c in layer.items()}
+            for v, c in by_degree[d].items():
+                _add_entry(entries, v, c)
     return InvariantMultiset(entries=entries, by_degree=by_degree)
 
 
@@ -341,7 +360,7 @@ def block_invariants(ell: int, w: int) -> InvariantMultiset:
     if w < 0:
         raise ValueError("w must be >= 0")
     return _graded_multiset(
-        ell, ((d, count_multipartitions(ell - 2, w - d)) for d in range(w + 1)))
+        ell, [count_multipartitions(ell - 2, w - d) for d in range(w + 1)])
 
 
 def full_invariants(ell: int, n: int) -> InvariantMultiset:
@@ -351,18 +370,32 @@ def full_invariants(ell: int, n: int) -> InvariantMultiset:
     if n < 0:
         raise ValueError("n must be >= 0")
     return _graded_multiset(
-        ell, ((d, multiplicity_m(ell, n, d)) for d in range(n // ell + 1)))
+        ell, [multiplicity_m(ell, n, d) for d in range(n // ell + 1)])
 
 
 def kor_invariants(ell: int, n: int) -> InvariantMultiset:
-    """The multiset of KOR numbers over ell-class-regular partitions of n."""
+    """The multiset of KOR numbers over ell-class-regular partitions of n.
+
+    It is the coefficient of q^n in prod_{ell∤k} sum_m x^kor(k, m // ell)
+    q^(k m), each factor split as (1 + q^k + ... + q^((ell-1)k)) times
+    sum_f x^kor(k, f) q^(ell k f): the first factors give R
+    (:func:`regular_class_regular_series`), the second G(q^ell).  The counts
+    must sum to the number of class-regular partitions of n.
+    """
     if ell < 2:
         raise ValueError("ell must be >= 2")
     if n < 0:
         raise ValueError("n must be >= 0")
+    top = n // ell
+    checks = _multiset_product(top, [k for k in range(1, top + 1) if k % ell],
+                               lambda k, f: kor_number(Partition((k,) * (ell * f)), ell))
+    hats = regular_class_regular_series(ell, n).coeffs
     entries: dict[int, int] = {}
-    for mu in class_regular_partitions(n, ell):
-        _add_entry(entries, kor_number(mu, ell), 1)
+    for a, layer in enumerate(checks):
+        for v, c in layer.items():
+            _add_entry(entries, v, hats[n - ell * a] * c)
+    if sum(entries.values()) != class_regular_series(ell, n).coeff(n):
+        raise ArithmeticError(f"KOR counts miss class-regular partitions of {n}")
     return InvariantMultiset(entries=entries)
 
 
@@ -517,31 +550,35 @@ def verify_reduction(ell: int, d: int) -> VerificationReport:
     )
 
 
-def _class_regular_head(lam: Partition, ell: int) -> Partition:
-    """The ell-class-regular part of lam = head + ell * rest."""
-    return Partition([p for p in lam.parts if p % ell])
+def _counting_lemma_sides(ell: int, n: int) -> tuple[list[int], list[int]]:
+    """Both sides of the counting lemma for check parts of size a, at index a."""
+    top = n // ell
+    hats = regular_class_regular_series(ell, n).coeffs
+    p = partition_series(top).coeffs
+    lhs = [hats[n - ell * a] for a in range(top + 1)]
+    rhs = [sum(p[j] * multiplicity_m(ell, n, a + ell * j)
+               for j in range((top - a) // ell + 1))
+           for a in range(top + 1)]
+    return lhs, rhs
 
 
 def verify_kor_multiset(ell: int, n: int) -> VerificationReport:
     """Multiset equality of KOR numbers with graded invariant factors,
     plus the supporting count: for every class-regular alpha, the number
     of mu with check part alpha equals the multiplicity-weighted number of
-    lam whose class-regular head is alpha."""
+    lam whose class-regular head is alpha.
+
+    Those mu are hat + ell * alpha with hat ell-regular and ell-class-
+    regular, R(n - ell |alpha|) of them.  Those lam are alpha + ell * beta,
+    beta a partition of j, weighing sum_j p(j) multiplicity_m(ell, n,
+    |alpha| + ell j).  Both sides depend on alpha only through |alpha|, and
+    come from independent series: R as a product over part sizes, the
+    other from P and P_ell / P(q^ell).
+    """
     kor = kor_invariants(ell, n)
     graded = full_invariants(ell, n)
     multiset_ok = kor == graded
-    lhs: dict[tuple[int, ...], int] = {}
-    for mu in class_regular_partitions(n, ell):
-        _, check = regular_split(mu, ell)
-        lhs[check.parts] = lhs.get(check.parts, 0) + 1
-    rhs: dict[tuple[int, ...], int] = {}
-    for d in range(n // ell + 1):
-        mult = multiplicity_m(ell, n, d)
-        if not mult:
-            continue
-        for lam in partitions(d):
-            head = _class_regular_head(lam, ell)
-            rhs[head.parts] = rhs.get(head.parts, 0) + mult
+    lhs, rhs = _counting_lemma_sides(ell, n)
     counting_ok = lhs == rhs
     ok = multiset_ok and counting_ok
     return VerificationReport(

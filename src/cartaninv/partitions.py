@@ -182,7 +182,7 @@ def _partitions_cached(d: int) -> tuple[Partition, ...]:
 def partitions(d: int) -> list[Partition]:
     """All partitions of ``d`` in canonical (descending lexicographic) order."""
     if d < 0:
-        raise ValueError("d must be non-negative")
+        raise ValueError("d must be >= 0")
     return list(_partitions_cached(d))
 
 

@@ -9,13 +9,15 @@ coefficient is ever produced.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 
 DEFAULT_ORDER = 64
 MAX_ORDER = 512
 
 
 class Series:
-    """Coefficients c_0..c_N of a truncated power series, all exact ints."""
+    """Coefficients c_0..c_N of a truncated power series, all exact ints;
+    immutable, because the named series are cached and shared."""
 
     __slots__ = ("coeffs", "order")
 
@@ -32,8 +34,13 @@ class Series:
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
-        self.coeffs = tuple(coeffs)
-        self.order = order
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Series is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def one(cls, order: int) -> "Series":
@@ -58,15 +65,29 @@ class Series:
         return Series([a - b for a, b in zip(self.coeffs, other.coeffs)], n)
 
     def __mul__(self, other: "Series") -> "Series":
+        """Truncated product by Kronecker substitution: the sign halves of
+        each operand are packed into big ints, one slot per coefficient, and
+        a slot of a+b+ + a-b- or a+b- + a-b+ is at most (n+1) max|a| max|b|."""
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if ai:
-                for j in range(n + 1 - i):
-                    out[i + j] += ai * b[j]
-        return Series(out, n)
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        bound = (n + 1) * max(map(abs, a)) * max(map(abs, b))
+        if not bound:
+            return Series([], n)
+        width = (bound.bit_length() + 7) // 8
+
+        def pack(half):
+            return int.from_bytes(b"".join(
+                map(int.to_bytes, half, repeat(width), repeat("little"))), "little")
+
+        def unpack(x):
+            buf = x.to_bytes((2 * n + 1) * width, "little")
+            return [int.from_bytes(buf[i: i + width], "little")
+                    for i in range(0, (n + 1) * width, width)]
+
+        ap, bp = pack([c if c > 0 else 0 for c in a]), pack([c if c > 0 else 0 for c in b])
+        am, bm = pack([-c if c < 0 else 0 for c in a]), pack([-c if c < 0 else 0 for c in b])
+        plus, minus = unpack(ap * bp + am * bm), unpack(ap * bm + am * bp)
+        return Series([x - y for x, y in zip(plus, minus)], n)
 
     def __pow__(self, k: int) -> "Series":
         if k < 0:
@@ -157,6 +178,19 @@ def class_regular_series(ell: int, order: int) -> Series:
     return P * P.substitute_power(ell).invert()
 
 
+def regular_class_regular_series(ell: int, order: int) -> Series:
+    """Counts of partitions both ell-regular and ell-class-regular, as the
+    product over ell not dividing k of 1 + q^k + ... + q^((ell-1)k)."""
+    c = [1] + [0] * order
+    for k in range(1, order + 1):
+        if k % ell:
+            for j in range(k, order + 1):  # times 1 / (1 - q^k)
+                c[j] += c[j - k]
+            for j in range(order, ell * k - 1, -1):  # times 1 - q^(ell k)
+                c[j] -= c[j - ell * k]
+    return Series(c, order)
+
+
 @lru_cache(maxsize=None)
 def divisor_series(order: int) -> Series:
     """Coefficient of q^d is the number of divisors of d (0 at d=0)."""
@@ -190,6 +224,7 @@ def class_regular_length_series(ell: int, order: int) -> Series:
     return class_regular_series(ell, order) * class_regular_divisor_series(ell, order)
 
 
+@lru_cache(maxsize=None)
 def length_series_direct(order: int) -> Series:
     """Independent route to the total length counts.
 

@@ -97,6 +97,8 @@ def test_usage_errors(capsys):
         ("verify kor --ell 4 --n -1", "n must be >= 0"),
         ("matrix X_ell --ell 4 --d -1", "d must be >= 0"),
         ("matrix X_A --ell 3 --d -1", "d must be >= 0"),
+        ("matrix B_ell --ell 3 --d -1", "d must be >= 0"),
+        ("matrix M_pm --d -1", "d must be >= 0"),
     ]:
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == "" and message in err, argv
@@ -118,10 +120,15 @@ def test_usage_errors(capsys):
         assert code == 1 and out == "" and flag in err, argv
 
 
-# stdout sha256 of whole runs; verify all is also pinned by perfbench/run.py
+# stdout sha256 of whole runs; verify all, verify kor and the n = 200
+# invariants are also pinned by perfbench/run.py
 STDOUT_DIGESTS = {
     "verify all":
         "05a3c8d2817b5f4a0f97fb68199aa15500be220de66bce91128a78c88cc67b7d",
+    "verify kor --ell 6 --n 55":
+        "1a8836698810a13d7ce2b861047cdf51d39275e0b4602a3135b7b268f693b414",
+    "invariants --ell 6 --n 200":
+        "eada695c4d4e430f067000d17b012cefefd9eaad8ffaee09a71a48dcec2f9fb9",
     "invariants --ell 6 --n 18 --format json":
         "a723b16ecca271116b335ffb873b73049cc9a0cec394878962e1e16e4d63cc09",
     "matrix X_A --ell 4 --d 2 --snf --format json":

@@ -35,7 +35,7 @@ from cartaninv.partitions import (
     repeat_parts,
     total_length,
 )
-from cartaninv.series import class_regular_series, count_multipartitions
+from cartaninv.series import class_regular_series, count_multipartitions, partition_series
 from cartaninv.symfunc import TransitionMatrix, transition_p_to_m, transition_tensor
 
 
@@ -243,6 +243,45 @@ def test_kor_invariants():
         ms = kor_invariants(4, n)
         assert ms.entries == {1: len(partitions(n))}
     assert kor_invariants(6, 18) == full_invariants(6, 18)
+    # past the reach of enumeration: p(100) is 190,569,292
+    ms = kor_invariants(6, 100)
+    assert ms.total() == class_regular_series(6, 100).coeff(100) == 58590891
+
+
+def tally(values):
+    out = {}
+    for v in values:
+        out[v] = out.get(v, 0) + 1
+    return out
+
+
+def test_multisets_match_enumeration():
+    for ell in range(2, 13):
+        for n in range(26):
+            expected = tally(kor_number(mu, ell) for mu in partitions(n)
+                             if mu.is_class_regular(ell))
+            assert kor_invariants(ell, n).entries == expected, (ell, n)
+        # layer d of a weight-d block carries multiplicity 1
+        for d in range(15):
+            expected = tally(graded_invariant(lam, ell) for lam in partitions(d))
+            assert block_invariants(ell, d).by_degree[d] == expected, (ell, d)
+
+
+def test_multisets_check_their_counts(monkeypatch):
+    # a wrong hat series R
+    monkeypatch.setattr(invariants, "regular_class_regular_series",
+                        lambda ell, n: partition_series(n))
+    with pytest.raises(ArithmeticError):
+        kor_invariants(4, 9)
+    monkeypatch.undo()
+    # a product kernel that misses the largest part size
+    real = invariants._multiset_product
+    monkeypatch.setattr(invariants, "_multiset_product",
+                        lambda n, parts, value: real(n, list(parts)[:-1], value))
+    with pytest.raises(ArithmeticError):
+        kor_invariants(4, 9)
+    with pytest.raises(ArithmeticError):
+        full_invariants(4, 8)
 
 
 def test_graded_to_snf():
@@ -343,6 +382,38 @@ def test_verify_kor_multiset():
     assert verify_kor_multiset(6, 18).status == "verified"
     for n in range(4):
         assert verify_kor_multiset(5, n).status == "verified"
+    assert verify_kor_multiset(6, 120).status == "verified"
+
+
+def test_counting_lemma_sides_match_enumeration():
+    from cartaninv.partitions import regular_split
+    from cartaninv.series import multiplicity_m
+
+    for ell in range(2, 8):
+        for n in range(26):
+            checks = tally(regular_split(mu, ell)[1].parts for mu in partitions(n)
+                           if mu.is_class_regular(ell))
+            heads = {}
+            for d in range(n // ell + 1):
+                for lam in partitions(d):
+                    head = tuple(p for p in lam.parts if p % ell)
+                    heads[head] = heads.get(head, 0) + multiplicity_m(ell, n, d)
+            lhs, rhs = invariants._counting_lemma_sides(ell, n)
+            assert len(lhs) == len(rhs) == n // ell + 1
+            for a in range(n // ell + 1):
+                for alpha in class_regular_partitions(a, ell):
+                    assert lhs[a] == checks.get(alpha.parts, 0), (ell, n, alpha)
+                    assert rhs[a] == heads.get(alpha.parts, 0), (ell, n, alpha)
+
+
+def test_counting_lemma_catches_wrong_multiplicities(monkeypatch):
+    from cartaninv.series import multiplicity_m
+
+    monkeypatch.setattr(invariants, "multiplicity_m",
+                        lambda ell, n, d: multiplicity_m(ell, n, d) + 1)
+    report = verify_kor_multiset(4, 12)
+    assert report.status == "refuted"
+    assert report.witness["counting_lemma"] is False
 
 
 def test_verify_determinants():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cartaninv.partitions import (
@@ -47,6 +49,42 @@ def test_series_basics():
     b = Series([1, 2], 1)
     assert (a + b).order == 1
     assert (a * b).coeffs == (1, 3)
+
+
+def test_cached_series_are_immutable():
+    cached = partition_series(5)
+    for name, value in (("coeffs", (9,)), ("order", 0), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(cached, name, value)
+    with pytest.raises(AttributeError):
+        del cached.coeffs
+    assert partition_series(5) is cached
+    assert cached.coeffs == (1, 1, 2, 3, 5, 7) and cached.order == 5
+
+
+def schoolbook(a, b):
+    n = min(a.order, b.order)
+    return [sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
+            for k in range(n + 1)]
+
+
+def test_mul_matches_schoolbook():
+    rng = random.Random(6)
+    cases = [(Series([0], 0), Series([5], 0)), (Series([-3], 0), Series([7], 0)),
+             (Series([], 9), Series([1, -1, 2], 9)), (Series([], 4), Series([], 4)),
+             (Series([0, 0, -1]), Series([2, 0, 0]))]
+    for _ in range(60):
+        bits = rng.choice((1, 4, 64, 230))
+        orders = (rng.randint(0, 40), rng.randint(0, 40))
+        a, b = (Series([rng.randint(-2 ** bits, 2 ** bits) * rng.randint(0, 1)
+                        for _ in range(order + 1)]) for order in orders)
+        cases.append((a, b))
+    big = sum(1 for a, b in cases if max(map(abs, a.coeffs)) > 2 ** 200)
+    assert big >= 5
+    for a, b in cases:
+        product = a * b
+        assert product.order == min(a.order, b.order)
+        assert list(product.coeffs) == schoolbook(a, b), (a, b)
 
 
 def test_truncate():
