@@ -16,7 +16,6 @@ from .partitions import (
     multipartition_from_indexed,
     multipartitions,
     partition_defect,
-    partitions,
     recompose,
     regular_partitions,
     regular_split,

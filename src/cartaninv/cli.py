@@ -112,13 +112,13 @@ def _multiset_line(ms: inv.InvariantMultiset) -> str:
 
 def _full_breakdown(ell: int, n: int, d: int) -> str:
     """Per-degree multiplicity as a sum of block-count times core-count terms."""
+    blocks = ser.multipartition_series(ell - 2, n // ell).coeffs
+    cores = ser.core_count_series(ell, n).coeffs
     terms = []
     total = 0
     for w in range(n // ell, d - 1, -1):
-        blocks = ser.count_multipartitions(ell - 2, w - d)
-        cores = ser.core_count(ell, n - ell * w)
-        terms.append(f"{blocks}×{cores}")
-        total += blocks * cores
+        terms.append(f"{blocks[w - d]}×{cores[n - ell * w]}")
+        total += blocks[w - d] * cores[n - ell * w]
     return "+".join(terms) + f"={total}"
 
 
@@ -146,11 +146,11 @@ def _invariants_payload(args) -> tuple[dict, list[str]]:
         params = {"ell": args.ell, "weight": args.weight}
         lines.append(f"ell={args.ell} weight={args.weight} total={ms.total()}")
         lines.append("degree | invariants | multiplicity")
+        mults = ser.multipartition_series(args.ell - 2, args.weight).coeffs
         for d in sorted(ms.by_degree):
             layer = ms.by_degree[d]
             values = ", ".join(str(v) for v in sorted(set(layer)))
-            mult = ser.count_multipartitions(args.ell - 2, args.weight - d)
-            lines.append(f"{d} | {values} | {mult}")
+            lines.append(f"{d} | {values} | {mults[args.weight - d]}")
     lines.append("total multiset: " + _multiset_line(ms))
     entries = []
     for d in sorted(ms.by_degree):

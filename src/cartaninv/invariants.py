@@ -29,7 +29,8 @@ from .partitions import (
     valuation,
 )
 from .series import (class_regular_series, count_multipartitions, multiplicity_m,
-                     partition_series, regular_class_regular_series)
+                     multipartition_series, partition_series,
+                     regular_class_regular_series)
 from .symfunc import transition_tensor
 
 MAX_PARTITION_INDEX = 1000
@@ -359,8 +360,7 @@ def block_invariants(ell: int, w: int) -> InvariantMultiset:
         raise ValueError("ell must be >= 2")
     if w < 0:
         raise ValueError("w must be >= 0")
-    return _graded_multiset(
-        ell, [count_multipartitions(ell - 2, w - d) for d in range(w + 1)])
+    return _graded_multiset(ell, list(multipartition_series(ell - 2, w).coeffs[::-1]))
 
 
 def full_invariants(ell: int, n: int) -> InvariantMultiset:
@@ -511,9 +511,10 @@ def verify_splitting(a: int, b: int, d: int) -> VerificationReport:
 
 def _reduction_reference(ell: int, d: int) -> Matrix:
     """Direct sum of identity-tensored one-color matrices, weight by weight."""
+    mults = multipartition_series(ell - 2, d).coeffs
     blocks = []
     for s in range(d + 1):
-        mult = count_multipartitions(ell - 2, d - s)
+        mult = mults[d - s]
         if not mult:
             continue
         xs = gram_matrix(ell, s)

@@ -97,8 +97,9 @@ class Series:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def invert(self) -> "Series":
@@ -118,16 +119,20 @@ class Series:
             b[d] = -u * s
         return Series(b, n)
 
-    def substitute_power(self, a: int) -> "Series":
-        """The series in q^a: coefficient at a*j is c_j, others vanish."""
+    def substitute_power(self, a: int, order: int | None = None) -> "Series":
+        """The series in q^a up to q^order (default: this series' order):
+        coefficient at a*j is c_j, others vanish.  Only c_0..c_(order//a)
+        are read, so a caller builds the inner series to order // a; a
+        series shorter than that raises ``ValueError``."""
         if a < 1:
             raise ValueError("substitution exponent must be >= 1")
-        out = [0] * (self.order + 1)
-        j = 0
-        while a * j <= self.order:
-            out[a * j] = self.coeffs[j]
-            j += 1
-        return Series(out, self.order)
+        if order is None:
+            order = self.order
+        if order // a > self.order:
+            raise ValueError("cannot extend a truncated series")
+        out = [0] * (order + 1)
+        out[::a] = self.coeffs[: order // a + 1]
+        return Series(out, order)
 
     def __eq__(self, other):
         return (
@@ -174,8 +179,8 @@ def class_regular_series(ell: int, order: int) -> Series:
     """Counts of partitions with no part divisible by ell: P / P(q^ell)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    P = partition_series(order)
-    return P * P.substitute_power(ell).invert()
+    inner = partition_series(order // ell).invert()
+    return partition_series(order) * inner.substitute_power(ell, order)
 
 
 def regular_class_regular_series(ell: int, order: int) -> Series:
@@ -230,29 +235,30 @@ def length_series_direct(order: int) -> Series:
 
     Counts, for every part value j and copy threshold m, the partitions of d
     containing at least m copies of j; removing those copies leaves an
-    unconstrained partition of d - j*m.
+    unconstrained partition of d - j*m.  Summed over m, these counts obey
+    s[d] = p[d-j] + s[d-j], so the route takes O(order^2) steps.
     """
-    p = partition_series(order).coeffs
-    c = [0] * (order + 1)
-    for j in range(1, order + 1):
-        for m in range(1, order // j + 1):
-            w = j * m
-            for d in range(w, order + 1):
-                c[d] += p[d - w]
-    return Series(c, order)
+    return _length_counts(partition_series(order).coeffs, range(1, order + 1))
 
 
 def class_regular_length_series_direct(ell: int, order: int) -> Series:
-    """Independent route to the class-regular total length counts."""
-    p = class_regular_series(ell, order).coeffs
+    """Independent route to the class-regular total length counts, by the
+    same per-part recurrence over the parts not divisible by ell."""
+    parts = [j for j in range(1, order + 1) if j % ell]
+    return _length_counts(class_regular_series(ell, order).coeffs, parts)
+
+
+def _length_counts(p, parts) -> Series:
+    """c[d] = sum over j in parts and m >= 1 of p[d - j*m], p counting the
+    partitions into those parts: a term counts the partitions of d with at
+    least m copies of j, so c[d] is their total number of parts."""
+    order = len(p) - 1
     c = [0] * (order + 1)
-    for j in range(1, order + 1):
-        if j % ell == 0:
-            continue
-        for m in range(1, order // j + 1):
-            w = j * m
-            for d in range(w, order + 1):
-                c[d] += p[d - w]
+    for j in parts:
+        s = [0] * (order + 1)  # s[d] = sum over m >= 1 of p[d - j*m]
+        for d in range(j, order + 1):
+            s[d] = p[d - j] + s[d - j]
+            c[d] += s[d]
     return Series(c, order)
 
 
@@ -261,15 +267,16 @@ def core_count_series(ell: int, order: int) -> Series:
     """Number of ell-cores by size: P / P(q^ell)^ell."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    P = partition_series(order)
-    return P * (P.substitute_power(ell).invert() ** ell)
+    inner = partition_series(order // ell).invert() ** ell
+    return partition_series(order) * inner.substitute_power(ell, order)
 
 
 def cartan_det_series(ell: int, order: int) -> Series:
     """Exponent of ell in the full Cartan determinant: P_ell * T(q^ell)."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    return class_regular_series(ell, order) * divisor_series(order).substitute_power(ell)
+    T = divisor_series(order // ell)
+    return class_regular_series(ell, order) * T.substitute_power(ell, order)
 
 
 def block_det_series(ell: int, order: int) -> Series:
@@ -284,8 +291,8 @@ def invariant_multiplicity_series(ell: int, order: int) -> Series:
     """P_ell / P(q^ell): multiplicities of graded invariant factors."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    P = partition_series(order)
-    return P * (P.substitute_power(ell).invert() ** 2)
+    inner = partition_series(order // ell).invert() ** 2
+    return partition_series(order) * inner.substitute_power(ell, order)
 
 
 _NAMED = {
@@ -368,32 +375,33 @@ def check_identity(name: str, order: int = 60, ell: int | None = None,
         if a is None or b is None:
             raise ValueError("Cartan-reduction requires a and b")
         lhs = cartan_det_series(a * b, order)
-        rhs = class_regular_series(a, order) * cartan_det_series(b, order).substitute_power(a)
+        inner = cartan_det_series(b, order // a).substitute_power(a, order)
+        rhs = class_regular_series(a, order) * inner
         return lhs == rhs
     if ell is None:
         raise ValueError(f"identity {name!r} requires ell")
-    P = partition_series(order)
     if name == "l-LPT":
         lhs = class_regular_length_series_direct(ell, order)
         return lhs == class_regular_series(ell, order) * class_regular_divisor_series(ell, order)
     if name == "L-dec":
-        L = length_series(order)
-        rhs = class_regular_series(ell, order) * L.substitute_power(ell) \
-            + P.substitute_power(ell) * class_regular_length_series(ell, order)
-        return L == rhs
+        rhs = class_regular_series(ell, order) \
+            * length_series(order // ell).substitute_power(ell, order) \
+            + partition_series(order // ell).substitute_power(ell, order) \
+            * class_regular_length_series(ell, order)
+        return length_series(order) == rhs
     if name == "T-split":
-        T = divisor_series(order)
-        return T == T.substitute_power(ell) + class_regular_divisor_series(ell, order)
+        rhs = divisor_series(order // ell).substitute_power(ell, order)
+        return divisor_series(order) == rhs + class_regular_divisor_series(ell, order)
     if name == "Cartan-det":
         # full determinant assembled from the blocks: the block exponents are
         # graded by weight, so they enter at q^ell
-        lhs = block_det_series(ell, order).substitute_power(ell) \
+        lhs = block_det_series(ell, order // ell).substitute_power(ell, order) \
             * core_count_series(ell, order)
         return lhs == cartan_det_series(ell, order)
     if name == "full-and-block":
         # graded multiplicities of the full matrix as block counts times cores
         rhs = core_count_series(ell, order) \
-            * multipartition_series(ell - 2, order).substitute_power(ell)
+            * multipartition_series(ell - 2, order // ell).substitute_power(ell, order)
         return invariant_multiplicity_series(ell, order) == rhs
     if name == "block-det":
         lhs = multipartition_series(ell - 2, order) * length_series_direct(order)

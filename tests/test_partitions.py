@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -258,3 +259,12 @@ def test_color_sequences_shape():
     # part 2 takes any color, the two 1s a weakly increasing pair
     assert len(seqs) == 2 * 3
     assert seqs == sorted(seqs)
+
+
+def test_package_attribute_is_the_module():
+    import cartaninv
+
+    module = importlib.import_module("cartaninv.partitions")
+    assert cartaninv.partitions is module
+    assert module.partitions is partitions
+    assert [p.parts for p in cartaninv.partitions.partitions(2)] == [(2,), (1, 1)]

@@ -12,6 +12,7 @@ from cartaninv.series import (
     Series,
     cartan_det_series,
     check_identity,
+    class_regular_length_series_direct,
     class_regular_series,
     core_count,
     core_count_series,
@@ -19,6 +20,7 @@ from cartaninv.series import (
     divisor_series,
     invariant_multiplicity_series,
     length_series,
+    length_series_direct,
     multiplicity_m,
     named_series,
     partition_series,
@@ -87,6 +89,24 @@ def test_mul_matches_schoolbook():
         assert list(product.coeffs) == schoolbook(a, b), (a, b)
 
 
+def test_pow_matches_repeated_multiplication():
+    for s in (Series([1, -2, 0, 5, 3]), Series([-1, 4, 1], 6), Series([3, 1, 2]),
+              Series([1], 0), Series([-1], 0), Series([7], 0)):
+        expected = Series.one(s.order)
+        for k in range(10):
+            assert s ** k == expected, (s, k)
+            expected = expected * s
+        if s.coeffs[0] not in (1, -1):
+            with pytest.raises(ValueError):
+                s ** -1
+            continue
+        inverse, expected = s.invert(), Series.one(s.order)
+        for k in range(1, 10):
+            expected = expected * inverse
+            assert s ** -k == expected, (s, -k)
+            assert s ** -k * s ** k == Series.one(s.order)
+
+
 def test_truncate():
     s = partition_series(10)
     assert s.truncate(4).coeffs == (1, 1, 2, 3, 5)
@@ -106,6 +126,46 @@ def test_invert_and_substitute():
     assert sub.coeff(3) == 0
     with pytest.raises(ValueError):
         P.substitute_power(0)
+
+
+def test_substitute_power_to_an_order():
+    f = Series([3, -1, 4, 1, -5])
+    for a in range(1, 6):
+        # one argument: f(q^a) at the order of f, as before
+        assert f.substitute_power(a) == f.substitute_power(a, f.order) == Series(
+            [f.coeffs[i // a] if i % a == 0 else 0 for i in range(5)])
+        for order in range(6 * a):
+            if order // a > f.order:
+                with pytest.raises(ValueError):
+                    f.substitute_power(a, order)
+                continue
+            sub = f.substitute_power(a, order)
+            assert sub.order == order
+            assert sub.coeffs == tuple(
+                f.coeffs[i // a] if i % a == 0 else 0 for i in range(order + 1))
+    assert partition_series(3).substitute_power(4, 15).coeffs == (
+        1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0)
+
+
+def test_reduced_order_series_match_full_order_formulas():
+    # each named series builds its q^ell part only to order // ell; the
+    # full-order formulas below are the definitions it must still equal
+    cases = [(ell, order) for ell in range(2, 13) for order in range(3 * ell + 3)]
+    cases += [(ell, 300) for ell in (2, 7, 12)]
+    for ell, order in cases:
+        P, T = partition_series(order), divisor_series(order)
+        inverse = P.substitute_power(ell).invert()
+        assert class_regular_series(ell, order) == P * inverse, (ell, order)
+        assert core_count_series(ell, order) == P * (inverse ** ell), (ell, order)
+        assert invariant_multiplicity_series(ell, order) == P * (inverse ** 2), (ell, order)
+        assert cartan_det_series(ell, order) == \
+            P * inverse * T.substitute_power(ell), (ell, order)
+        if order < 3 * ell + 3:
+            for name in ("L-dec", "T-split", "Cartan-det", "full-and-block"):
+                assert check_identity(name, order, ell=ell), (name, ell, order)
+    for a, b in ((2, 3), (3, 2), (4, 3)):
+        for order in range(3 * a * b + 3):
+            assert check_identity("Cartan-reduction", order, a=a, b=b), (a, b, order)
 
 
 def test_partition_series_values():
@@ -168,6 +228,17 @@ def test_total_length_series_against_enumeration():
     L = length_series(20)
     for d in range(21):
         assert L.coeff(d) == sum(lam.length for lam in partitions(d))
+
+
+def test_direct_length_routes_match_enumeration():
+    L = length_series_direct(20)
+    for d in range(21):
+        assert L.coeff(d) == sum(lam.length for lam in partitions(d))
+    for ell in range(2, 8):
+        L = class_regular_length_series_direct(ell, 20)
+        for d in range(21):
+            assert L.coeff(d) == sum(
+                lam.length for lam in class_regular_partitions(d, ell)), (ell, d)
 
 
 def test_cartan_det_series_against_defect_sums():
