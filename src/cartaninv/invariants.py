@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
-from .linalg import Matrix, direct_sum, smith_normal_form, symmetric_power
+from .linalg import Matrix, _reach, direct_sum, smith_normal_form, symmetric_power
 from .partitions import (
     Partition,
     centralizer_order,
@@ -91,9 +91,13 @@ def _conjugated(seed: Matrix, d: int, bound: int, what: str) -> Matrix:
     T is lower triangular with nonzero diagonal in the canonical order, so
     T * X = B * T is solved row by row by forward substitution; every
     division by T[i][i] must be exact, and a remainder means X is not
-    integral, which is an upstream bug.  A negative d raises ``ValueError``
-    and an index of more than ``bound`` labels raises
-    :class:`SizeGuardError`, both before any work.
+    integral, which is an upstream bug.  Row i of B * T, and so of X, is
+    zero from a running reach on: end = max(end, i + 1, 1 + the last
+    nonzero column of B's row i), because row m of T is zero past column
+    m.  So each row is built and divided only over columns < end, then
+    padded with zeros.  A negative d raises ``ValueError`` and an index of
+    more than ``bound`` labels raises :class:`SizeGuardError`, both before
+    any work.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
@@ -104,17 +108,20 @@ def _conjugated(seed: Matrix, d: int, bound: int, what: str) -> Matrix:
     t = transition_tensor(k, d).matrix.data
     b = tensor_diagonal_blocks(seed, d).data
     n = len(t)
-    x: list[list[int]] = []
+    x: list[list[int]] = []  # row j holds its columns below its own reach
+    end = 0
     for i in range(n):
+        end = _reach(b[i], max(end, i + 1))
         # row i of B * T, less T[i][j] * X[j] for j < i, is T[i][i] * X[i]
-        row = [0] * n
-        for m, c in enumerate(b[i]):
+        row = [0] * end
+        for m, c in enumerate(b[i][:end]):
             if c:
                 row = [r + c * v for r, v in zip(row, t[m])]
         for j in range(i):
             c = t[i][j]
             if c:
-                row = [r - c * v for r, v in zip(row, x[j])]
+                xj = x[j]
+                row[: len(xj)] = [r - c * v for r, v in zip(row, xj)]
         pivot = t[i][i]
         solved = []
         for v in row:
@@ -125,7 +132,7 @@ def _conjugated(seed: Matrix, d: int, bound: int, what: str) -> Matrix:
                 )
             solved.append(q)
         x.append(solved)
-    return Matrix(x)
+    return Matrix([row + [0] * (n - len(row)) for row in x])
 
 
 def gram_matrix(ell: int, d: int) -> Matrix:
@@ -509,29 +516,26 @@ def verify_splitting(a: int, b: int, d: int) -> VerificationReport:
     )
 
 
-def _reduction_reference(ell: int, d: int) -> Matrix:
-    """Direct sum of identity-tensored one-color matrices, weight by weight."""
-    mults = multipartition_series(ell - 2, d).coeffs
-    blocks = []
-    for s in range(d + 1):
-        mult = mults[d - s]
-        if not mult:
-            continue
-        xs = gram_matrix(ell, s)
-        blocks.append(Matrix.identity(mult).kron(xs))
-    return direct_sum(blocks)
-
-
 def verify_reduction(ell: int, d: int) -> VerificationReport:
     """Check that the multipartition matrix reduces to the one-color data.
 
     Compares invariant factors of the tensor matrix with those of the
-    block-diagonal reference, and checks that the conjugated symmetric
-    powers of the Smith transforms of the seed are unimodular.
+    block-diagonal reference, the direct sum over s <= d of
+    gram_matrix(ell, s) repeated once per (ell-2)-multipartition of d - s,
+    and checks that the conjugated symmetric powers of the Smith transforms
+    of the seed are unimodular.  The elementary divisors of a direct sum
+    are the union of its blocks', so the reference chain is merged per
+    prime (:func:`graded_to_snf`) from the small blocks' invariant factors.
     """
     xa = tensor_gram_matrix(ell, d)
     computed = smith_normal_form(xa).invariant_factors
-    reference = smith_normal_form(_reduction_reference(ell, d)).invariant_factors
+    mults = multipartition_series(ell - 2, d).coeffs
+    divisors: dict[int, int] = {}
+    for s in range(d + 1):
+        if mults[d - s]:
+            for f in smith_normal_form(gram_matrix(ell, s)).invariant_factors:
+                _add_entry(divisors, f, mults[d - s])
+    reference = graded_to_snf(divisors)
     seed = lie_cartan_matrix(ell)
     snf_seed = smith_normal_form(seed, want_transforms=True)
     det_u = tensor_diagonal_blocks(snf_seed.left, d).det()

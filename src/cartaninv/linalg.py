@@ -14,6 +14,8 @@ from math import gcd
 
 def _norm(x):
     """Collapse integral Fractions to plain ints."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
@@ -21,6 +23,50 @@ def _norm(x):
     if isinstance(x, int):
         return x
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+
+
+def _reach(row, lo: int = 0) -> int:
+    """max(lo, 1 + the index of the last nonzero entry), reading row[lo:] only."""
+    for k in range(len(row) - 1, lo - 1, -1):
+        if row[k]:
+            return k + 1
+    return lo
+
+
+def _diagonal_blocks(rows) -> list[tuple[int, int]]:
+    """The finest cut of a square array into contiguous diagonal blocks with
+    only zeros above them, as (start, stop) pairs, in one O(n^2) scan: a
+    block closes at row i once no row so far reaches past column i."""
+    blocks, start, end = [], 0, 0
+    for i, row in enumerate(rows):
+        end = _reach(row, max(end, i + 1))
+        if end == i + 1:
+            blocks.append((start, end))
+            start = end
+    return blocks
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination (Bareiss) on the square array m,
+    which it overwrites; returns the determinant."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 class Matrix:
@@ -119,7 +165,13 @@ class Matrix:
         return Matrix(out)
 
     def det(self):
-        """Exact determinant (int for integral matrices, Fraction otherwise)."""
+        """Exact determinant (int for integral matrices, Fraction otherwise).
+
+        An integral matrix is cut into its finest contiguous diagonal blocks
+        with only zeros above them (:func:`_diagonal_blocks`), and the
+        determinant is the product of the blocks' Bareiss determinants; a
+        dense matrix is one block.
+        """
         if not self.is_square():
             raise ValueError("determinant requires a square matrix")
         if self.is_integral():
@@ -127,25 +179,13 @@ class Matrix:
         return self._det_fraction()
 
     def _det_bareiss(self) -> int:
-        n = self.rows
-        m = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        rows = self.data
+        det = 1
+        for start, stop in _diagonal_blocks(rows):
+            det *= _bareiss([list(row[start:stop]) for row in rows[start:stop]])
+            if not det:
+                break
+        return det
 
     def _det_fraction(self):
         n = self.rows
@@ -341,10 +381,11 @@ def _snf_mod_det(rows, det: int) -> tuple[int, ...]:
 def smith_normal_form(mat: Matrix, want_transforms: bool = False) -> SnfResult:
     """Smith normal form of an integral matrix.
 
-    Without transforms, a square input with nonzero determinant D (by
-    Bareiss) is reduced modulo D, so no entry exceeds D: see
-    :func:`_snf_mod_det`.  That route checks itself: the factors must form
-    a divisibility chain whose product is D, else ``ArithmeticError``.
+    Without transforms, a square input with nonzero determinant D (from
+    :meth:`Matrix.det`, so Bareiss on each diagonal block) is reduced
+    modulo D, so no entry exceeds D: see :func:`_snf_mod_det`.  That route
+    checks itself: the factors must form a divisibility chain whose product
+    is D, else ``ArithmeticError``.
 
     Transforms, rectangular and singular input take the route over Z.
     Pivots are chosen as the nonzero entry of minimal absolute value in the
@@ -362,7 +403,7 @@ def smith_normal_form(mat: Matrix, want_transforms: bool = False) -> SnfResult:
     if not mat.is_integral():
         raise ValueError("smith_normal_form requires an integral matrix")
     if not want_transforms and mat.is_square():
-        det = abs(mat._det_bareiss())
+        det = abs(mat.det())
         if det:
             return SnfResult(_snf_mod_det(mat.data, det))
     n, m = mat.rows, mat.cols

@@ -92,15 +92,17 @@ class Series:
     def __pow__(self, k: int) -> "Series":
         if k < 0:
             return self.invert() ** (-k)
-        result = Series.one(self.order)
+        if not k:
+            return Series.one(self.order)
+        result = None  # the lowest set bit of k starts it, not the unit series
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
-            if k:
-                base = base * base
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def invert(self) -> "Series":
         """Multiplicative inverse; requires constant term +-1."""

@@ -25,7 +25,7 @@ from cartaninv.invariants import (
     verify_snf_conjecture,
     verify_splitting,
 )
-from cartaninv.linalg import Matrix, invariant_factors
+from cartaninv.linalg import Matrix, direct_sum, invariant_factors
 from cartaninv.partitions import (
     Partition,
     class_regular_partitions,
@@ -366,6 +366,14 @@ def test_pure_functions_run_concurrently():
     assert threaded == sequential
 
 
+def _direct_sum_chain(ell, d):
+    # the reduction reference as one matrix: gram_matrix(ell, s) repeated
+    # once per (ell-2)-multipartition of d - s, and its SNF
+    blocks = [Matrix.identity(count_multipartitions(ell - 2, d - s)).kron(gram_matrix(ell, s))
+              for s in range(d + 1) if count_multipartitions(ell - 2, d - s)]
+    return invariant_factors(direct_sum(blocks))
+
+
 def test_verify_reduction():
     for d in range(4):
         r = verify_reduction(3, d)
@@ -375,6 +383,15 @@ def test_verify_reduction():
     for d in range(5):
         assert verify_reduction(4, d).status == "verified"
     assert verify_reduction(2, 4).status == "verified"
+
+
+def test_reduction_reference_is_the_direct_sum_chain():
+    # merged per prime from the small blocks, the reference chain must be
+    # the SNF of the whole direct sum
+    for ell, d in ((2, 4), (3, 3), (4, 2), (4, 4), (5, 3), (6, 3)):
+        r = verify_reduction(ell, d)
+        assert r.status == "verified"
+        assert r.witness["reference"] == _direct_sum_chain(ell, d), (ell, d)
 
 
 def test_verify_kor_multiset():
@@ -430,6 +447,30 @@ def test_verify_determinants():
     # an empty degree range checks nothing, so it must not report verified
     with pytest.raises(ValueError):
         verify_determinants(4, -1)
+    # 231 labels at d = 16, past the CLI's default grid
+    r = verify_determinants(4, 16)
+    assert r.status == "verified"
+    assert r.witness["by_degree"][16]["det"] == 4 ** total_length(16)
+
+
+def test_gram_matrix_is_lower_triangular():
+    for ell in range(2, 9):
+        for d in range(11):
+            x = gram_matrix(ell, d).data
+            assert not any(x[i][j] for i in range(len(x)) for j in range(i + 1, len(x)))
+
+
+def test_tensor_gram_blocks_lie_within_seed_blocks():
+    # the finest diagonal-block cut of X is at least as fine as that of B
+    from cartaninv.linalg import _diagonal_blocks
+
+    for ell in range(2, 7):
+        for d in range(5 if ell < 6 else 4):
+            seed = lie_cartan_matrix(ell)
+            x_stops = {stop for _, stop in _diagonal_blocks(tensor_gram_matrix(ell, d).data)}
+            b_blocks = _diagonal_blocks(tensor_diagonal_blocks(seed, d).data)
+            assert len(b_blocks) >= len(partitions(d))
+            assert {stop for _, stop in b_blocks} <= x_stops, (ell, d)
 
 
 def test_block_invariant_counts_and_max():

@@ -251,3 +251,69 @@ def test_snf_modular_route_checks_its_product(monkeypatch):
     monkeypatch.setattr(Matrix, "_det_bareiss", lambda self: 2 * true_det(self))
     with pytest.raises(ArithmeticError, match="does not multiply to"):
         invariant_factors(m)
+
+
+def _finest_cut(rows):
+    # every k whose upper-right corner rows[:k][k:] is all zero closes a block
+    n = len(rows)
+    stops = [k for k in range(1, n + 1)
+             if not any(rows[i][j] for i in range(k) for j in range(k, n))]
+    return list(zip([0] + stops, stops))
+
+
+def _block_lower(rng, sizes, singular=None, holes=0.0):
+    # random blocks on the diagonal, random entries below them, zeros above;
+    # block ``singular`` repeats its first row, and each entry inside a block
+    # is zero with probability ``holes`` (trailing zeros included)
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for b, size in enumerate(sizes):
+        for i in range(start, start + size):
+            for j in range(start + size):
+                inside = j >= start
+                if not (inside and rng.random() < holes):
+                    rows[i][j] = rng.randint(-9, 9)
+        if b == singular:
+            for i in range(start + 1, start + size):
+                rows[i][start:start + size] = rows[start][start:start + size]
+        start += size
+    return rows
+
+
+def test_block_determinant_matches_oracles():
+    sympy = pytest.importorskip("sympy")
+    from cartaninv.linalg import _diagonal_blocks
+
+    rng = random.Random(41)
+    shapes = [[1] * 6, [1, 3, 1, 2], [4], [2, 2, 2], [3, 1, 4], [1, 5], [6, 1]]
+    seen = {"ones": 0, "singular": 0, "trailing": 0, "dense": 0}
+    for trial in range(120):
+        sizes = rng.choice(shapes)
+        singular = rng.randrange(len(sizes)) if trial % 5 == 0 else None
+        holes = 0.0 if trial % 4 == 0 else 0.3
+        rows = _block_lower(rng, sizes, singular, holes)
+        if trial % 6 == 5:  # dense: no zero anywhere, so one block
+            rows = [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in row] for row in rows]
+        m = Matrix(rows)
+        blocks = _diagonal_blocks(rows)
+        assert blocks == _finest_cut(rows)
+        det = m.det()
+        assert det == m._det_fraction() == int(sympy.Matrix(rows).det())
+        seen["ones"] += any(stop - start == 1 for start, stop in blocks)
+        seen["singular"] += singular is not None and sizes[singular] > 1 and det == 0
+        seen["trailing"] += any(
+            any(rows[i][j] for j in range(i + 1, stop)) and not rows[i][stop - 1]
+            for start, stop in blocks for i in range(start, stop - 1))
+        seen["dense"] += len(blocks) == 1 and all(all(row) for row in rows)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_snf_modulus_comes_from_public_det(monkeypatch):
+    # the modular route reads its modulus through Matrix.det, which traces it
+    m = Matrix([[4, 6, 1], [2, 2, 0], [1, 5, 9]])
+    true_det = Matrix.det
+    calls = []
+    monkeypatch.setattr(Matrix, "det", lambda self: calls.append(self) or true_det(self))
+    assert invariant_factors(m) == (1, 1, abs(true_det(m)))
+    assert calls == [m]
