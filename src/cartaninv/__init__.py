@@ -3,7 +3,6 @@ symmetric groups: partitions, q-series, exact linear algebra, and the
 verification suites tying them together."""
 
 from .partitions import (
-    IndexedPartition,
     Multipartition,
     Partition,
     adic_decomposition,
@@ -12,8 +11,6 @@ from .partitions import (
     core,
     factorial_valuation,
     glaisher,
-    index_multipartition,
-    multipartition_from_indexed,
     multipartitions,
     partition_defect,
     recompose,

@@ -107,11 +107,12 @@ def _build_parser() -> _Parser:
 
 
 def _multiset_line(ms: inv.InvariantMultiset) -> str:
-    return " ".join(f"{v}^{m}" for v, m in ms.sorted_items(descending=True))
+    return " ".join(f"{v}^{m}" for v, m in ms.sorted_items())
 
 
-def _full_breakdown(ell: int, n: int, d: int) -> str:
-    """Per-degree multiplicity as a sum of block-count times core-count terms."""
+def _full_breakdown(ell: int, n: int, d: int) -> tuple[str, int]:
+    """Per-degree multiplicity as a sum of block-count times core-count
+    terms, with its total."""
     blocks = ser.multipartition_series(ell - 2, n // ell).coeffs
     cores = ser.core_count_series(ell, n).coeffs
     terms = []
@@ -119,7 +120,7 @@ def _full_breakdown(ell: int, n: int, d: int) -> str:
     for w in range(n // ell, d - 1, -1):
         terms.append(f"{blocks[w - d]}×{cores[n - ell * w]}")
         total += blocks[w - d] * cores[n - ell * w]
-    return "+".join(terms) + f"={total}"
+    return "+".join(terms) + f"={total}", total
 
 
 def _invariants_payload(args) -> tuple[dict, list[str]]:
@@ -136,9 +137,8 @@ def _invariants_payload(args) -> tuple[dict, list[str]]:
         for d in sorted(ms.by_degree):
             layer = ms.by_degree[d]
             values = ", ".join(str(v) for v in sorted(set(layer)))
-            breakdown = _full_breakdown(args.ell, args.n, d)
-            check = ser.multiplicity_m(args.ell, args.n, d)
-            if int(breakdown.rsplit("=", 1)[1]) != check:
+            breakdown, total = _full_breakdown(args.ell, args.n, d)
+            if total != ser.multiplicity_m(args.ell, args.n, d):
                 raise ArithmeticError("breakdown disagrees with the series route")
             lines.append(f"{d} | {values} | {breakdown}")
     else:
@@ -326,6 +326,8 @@ def _matrix_payload(args) -> tuple[dict, list[str]]:
     kind = args.kind
     if kind in ("X_ell", "X_A", "B_ell") and args.ell is None:
         raise _UsageError(f"matrix {kind} requires --ell")
+    if kind == "M_pm" and args.ell is not None:
+        raise _UsageError("matrix M_pm does not take --ell")
     if kind == "X_ell":
         m = inv.gram_matrix(args.ell, args.d)
     elif kind == "X_A":

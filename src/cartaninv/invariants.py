@@ -308,8 +308,9 @@ class InvariantMultiset:
     def max_value(self) -> int:
         return max(self.entries) if self.entries else 1
 
-    def sorted_items(self, descending: bool = True) -> list[tuple[int, int]]:
-        return sorted(self.entries.items(), key=lambda kv: kv[0], reverse=descending)
+    def sorted_items(self) -> list[tuple[int, int]]:
+        """(value, multiplicity) pairs, largest value first."""
+        return sorted(self.entries.items(), reverse=True)
 
     def __eq__(self, other):
         return isinstance(other, InvariantMultiset) and self.entries == other.entries

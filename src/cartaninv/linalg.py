@@ -25,7 +25,7 @@ def _norm(x):
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
-def _reach(row, lo: int = 0) -> int:
+def _reach(row, lo: int) -> int:
     """max(lo, 1 + the index of the last nonzero entry), reading row[lo:] only."""
     for k in range(len(row) - 1, lo - 1, -1):
         if row[k]:

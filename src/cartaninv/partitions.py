@@ -9,7 +9,6 @@ descending lexicographic on the part tuples within a fixed size, so
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -97,10 +96,6 @@ class Multipartition:
         self.components = components
 
     @property
-    def num_components(self) -> int:
-        return len(self.components)
-
-    @property
     def size(self) -> int:
         return sum(c.size for c in self.components)
 
@@ -122,29 +117,6 @@ class Multipartition:
     def __repr__(self):
         inner = " | ".join(str(c.parts) for c in self.components)
         return f"Multipartition({inner})"
-
-
-@dataclass(frozen=True)
-class IndexedPartition:
-    """A partition together with a color in ``1..num_colors`` for each part.
-
-    Colors must be weakly increasing along runs of equal parts, which makes
-    the pair an unambiguous encoding of a multipartition.
-    """
-
-    base: Partition
-    colors: tuple[int, ...]
-    num_colors: int
-
-    def __post_init__(self):
-        lam, colors, k = self.base, self.colors, self.num_colors
-        if len(colors) != lam.length:
-            raise ValueError("need one color per part")
-        for j, c in enumerate(colors):
-            if not 1 <= c <= k:
-                raise ValueError(f"color {c} out of range 1..{k}")
-            if j and lam.parts[j - 1] == lam.parts[j] and colors[j - 1] > c:
-                raise ValueError("colors must be weakly increasing on equal parts")
 
 
 EMPTY = Partition()
@@ -207,18 +179,9 @@ def color_sequences(lam: Partition, k: int) -> list[tuple[int, ...]]:
     lexicographic order, which is the canonical inner order for
     multipartition indexing.
     """
-    groups = []
-    parts = lam.parts
-    i = 0
-    while i < len(parts):
-        j = i
-        while j < len(parts) and parts[j] == parts[i]:
-            j += 1
-        groups.append(j - i)
-        i = j
     pools = [
-        list(itertools.combinations_with_replacement(range(1, k + 1), g))
-        for g in groups
+        list(itertools.combinations_with_replacement(range(1, k + 1), len(list(run))))
+        for _, run in itertools.groupby(lam.parts)
     ]
     return [sum(combo, ()) for combo in itertools.product(*pools)]
 
@@ -226,9 +189,11 @@ def color_sequences(lam: Partition, k: int) -> list[tuple[int, ...]]:
 def multipartitions(k: int, d: int) -> list[Multipartition]:
     """All multipartitions with ``k`` components and total size ``d``.
 
-    The order is canonical: outer loop over the flattened partition in
-    descending lexicographic order, inner loop over color tuples in
-    lexicographic order.
+    The order is canonical, by the pair (partition, colors): the outer loop
+    runs over the flattened partition (all parts of all components) in
+    descending lexicographic order, the inner loop over its color tuples
+    from :func:`color_sequences` in lexicographic order, component c taking
+    the parts colored c.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -243,26 +208,6 @@ def multipartitions(k: int, d: int) -> list[Multipartition]:
             mp.components = tuple(Partition._trusted(tuple(b)) for b in buckets)
             out.append(mp)
     return out
-
-
-def index_multipartition(mp: Multipartition) -> IndexedPartition:
-    """Flatten a multipartition into its (partition, colors) encoding."""
-    pairs = []
-    for c, comp in enumerate(mp.components, start=1):
-        for part in comp.parts:
-            pairs.append((part, c))
-    pairs.sort(key=lambda pc: (-pc[0], pc[1]))
-    lam = Partition(p for p, _ in pairs)
-    colors = tuple(c for _, c in pairs)
-    return IndexedPartition(lam, colors, mp.num_components)
-
-
-def multipartition_from_indexed(ip: IndexedPartition) -> Multipartition:
-    """Inverse of :func:`index_multipartition`."""
-    buckets: list[list[int]] = [[] for _ in range(ip.num_colors)]
-    for part, color in zip(ip.base.parts, ip.colors):
-        buckets[color - 1].append(part)
-    return Multipartition(Partition(b) for b in buckets)
 
 
 def centralizer_order(lam: Partition) -> int:

@@ -318,10 +318,14 @@ def named_series(name: str, order: int = DEFAULT_ORDER, ell: int | None = None,
     """Build one of the named generating functions at the given order."""
     if name not in _NAMED:
         raise ValueError(f"unknown series {name!r}; choose from {sorted(_NAMED)}")
-    if name in _NEEDS_ELL and ell is None:
-        raise ValueError(f"series {name!r} requires ell")
-    if name == "P^k" and k is None:
-        raise ValueError("series 'P^k' requires k")
+    for flag, value, needed in (("ell", ell, name in _NEEDS_ELL),
+                                ("k", k, name == "P^k")):
+        if needed and value is None:
+            raise ValueError(f"series {name!r} requires {flag}")
+        if not needed and value is not None:
+            raise ValueError(f"series {name!r} does not take {flag}")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     return _NAMED[name](order, ell, k)
 
 
@@ -369,8 +373,8 @@ def check_identity(name: str, order: int = 60, ell: int | None = None,
     named series, an independently computed series is substituted so the
     check cannot be vacuous.
     """
-    if order > MAX_ORDER:
-        raise ValueError(f"order {order} exceeds configured maximum {MAX_ORDER}")
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order must lie in 0..{MAX_ORDER}, got {order}")
     if name == "LPT":
         return length_series_direct(order) == partition_series(order) * divisor_series(order)
     if name == "Cartan-reduction":

@@ -1,10 +1,12 @@
 """Transition matrices from the power-sum basis to the monomial basis of
 symmetric functions, in one-color and tensor (multipartition) form.
 
-Expansions are computed by exact multiset combinatorics on exponent
-vectors; no rational arithmetic is involved, and both the single-color
-and the tensor matrix are lower triangular with nonzero diagonal in the
-canonical (multi)partition order.
+The expansion of p_lam is built one part at a time, p_lam = p_lam' * p_r
+with lam' the partition lam less its last part r, and each prefix is cached,
+so partitions sharing a prefix share its expansion.  The arithmetic is on
+integer coefficients only, and both the single-color and the tensor matrix
+are lower triangular with nonzero diagonal in the canonical
+(multi)partition order.
 """
 
 from __future__ import annotations
@@ -26,46 +28,35 @@ class TransitionMatrix:
     matrix: Matrix
 
 
-def _insert_sorted(mu: tuple[int, ...], value: int) -> tuple[int, ...]:
-    out = list(mu)
-    for i, p in enumerate(out):
-        if value >= p:
-            out.insert(i, value)
-            break
-    else:
-        out.append(value)
-    return tuple(out)
-
-
-def _multiply_power_sum(support: dict[tuple[int, ...], int], r: int) -> dict:
+def _multiply_power_sum(support, r: int) -> dict:
     """Multiply a monomial-basis expansion by the degree-r power sum.
 
-    Adding r either extends a monomial shape by a new part r or increases
-    one part value v to v + r; the multiplicity of the grown part in the
-    result counts the ways the same shape arises.
+    Adding r either extends a monomial shape by a new part r (growing the
+    sentinel part 0) or grows one distinct part value v to v + r; the
+    multiplicity of the grown part in the result counts the ways the same
+    shape arises.
     """
     out: dict[tuple[int, ...], int] = {}
     for mu, c in support.items():
-        nu = _insert_sorted(mu, r)
-        out[nu] = out.get(nu, 0) + c * nu.count(r)
-        seen = set()
-        for i, v in enumerate(mu):
-            if v in seen:
+        values = mu + (0,)
+        for i, v in enumerate(values):
+            if i and values[i - 1] == v:
                 continue
-            seen.add(v)
-            rest = mu[:i] + mu[i + 1:]
-            nu2 = _insert_sorted(rest, v + r)
-            out[nu2] = out.get(nu2, 0) + c * nu2.count(v + r)
+            nu = tuple(sorted(mu[:i] + mu[i + 1:] + (v + r,), reverse=True))
+            out[nu] = out.get(nu, 0) + c * nu.count(v + r)
     return out
 
 
 @lru_cache(maxsize=None)
 def _power_sum_support(parts: tuple[int, ...]) -> MappingProxyType:
-    """Monomial expansion of a power sum, read-only because the cache shares it."""
-    support = {(): 1}
-    for r in parts:
-        support = _multiply_power_sum(support, r)
-    return MappingProxyType(support)
+    """Monomial expansion of the power sum p_parts, by the recurrence
+    p_parts = p_parts[:-1] * p_parts[-1].  Every prefix of a partition is a
+    partition, so each prefix is expanded once and shared through the cache;
+    the result is read-only because the cache shares it."""
+    if not parts:
+        return MappingProxyType({(): 1})
+    return MappingProxyType(
+        _multiply_power_sum(_power_sum_support(parts[:-1]), parts[-1]))
 
 
 def power_to_monomial(lam: Partition) -> dict[Partition, int]:
@@ -97,15 +88,14 @@ def transition_tensor(k: int, d: int) -> TransitionMatrix:
         raise ValueError("k must be >= 1")
     index = tuple(multipartitions(k, d))
     n = len(index)
-    degree_vectors = [mp.degree_vector() for mp in index]
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i, dv in enumerate(degree_vectors):
-        groups.setdefault(dv, []).append(i)
+    for i, mp in enumerate(index):
+        groups.setdefault(mp.degree_vector(), []).append(i)
     supports = [
         tuple(_power_sum_support(comp.parts) for comp in mp.components) for mp in index
     ]
     rows = [[0] * n for _ in range(n)]
-    for dv, members in groups.items():
+    for members in groups.values():
         for i in members:
             sup_i = supports[i]
             row = rows[i]

@@ -118,6 +118,19 @@ def test_usage_errors(capsys):
     ]:
         code, out, err = run(capsys, "verify", *argv.split())
         assert code == 1 and out == "" and flag in err, argv
+    # matrix and series reject a flag the kind or name does not read, in
+    # either format, instead of ignoring it and echoing it in params
+    for argv, flag in [
+        ("matrix M_pm --ell 7 --d 2", "--ell"),
+        ("series --name P --ell 4 --k 3", "ell"),
+        ("series --name P --k 3", "k"),
+        ("series --name P^k --k 3 --ell 4", "ell"),
+        ("series --name D0_ell --ell 6 --k 2", "k"),
+    ]:
+        for fmt in ("table", "json"):
+            code, out, err = run(capsys, *argv.split(), "--format", fmt)
+            assert code == 1 and out == "" and f"does not take {flag}" in err, \
+                (argv, fmt)
 
 
 # stdout sha256 of whole runs; verify all, verify kor and the n = 200
@@ -135,6 +148,12 @@ STDOUT_DIGESTS = {
         "f59621888cf8517bb8f7e3f339cf6bceff15df2db8ca5ccd634cb8eb4a5fb648",
     "verify reduction --ell 3 --d 2 --format json":
         "9a21ea249926159f09d3a54adb4653621a9d14c8f29a90273ffe4b4fa53acfb4",
+    "matrix M_pm --d 12":
+        "5de609f7d44eb3be33b158552875037b41ce8c816b52b9a2584eaf7898c21b05",
+    "matrix X_ell --ell 6 --d 12":
+        "f37406daf8d9cf97ba67d389d4d6ea10330f466c82722eb85742ed1a8c2ea9d2",
+    "matrix X_A --ell 4 --d 3":
+        "609a4826a9c1049d217943f5787b36b05b7784c14955b449a1d58afe05b39929",
 }
 
 

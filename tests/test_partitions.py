@@ -4,8 +4,6 @@ import math
 import pytest
 
 from cartaninv.partitions import (
-    IndexedPartition,
-    Multipartition,
     Partition,
     adic_decomposition,
     centralizer_order,
@@ -14,8 +12,6 @@ from cartaninv.partitions import (
     core,
     factorial_valuation,
     glaisher,
-    index_multipartition,
-    multipartition_from_indexed,
     multipartitions,
     partition_defect,
     partitions,
@@ -138,34 +134,24 @@ def test_multipartition_counts_binomial_oracle():
 
 
 def test_multipartition_canonical_order():
-    mps = multipartitions(2, 2)
-    assert mps[0].components[0].parts == (2,)
-    assert mps[0].components[1].parts == ()
-    # canonical: outer by flattened partition, inner by colors
-    flats = [index_multipartition(mp) for mp in mps]
-    assert [(ip.base.parts, ip.colors) for ip in flats] == [
-        ((2,), (1,)), ((2,), (2,)),
-        ((1, 1), (1, 1)), ((1, 1), (1, 2)), ((1, 1), (2, 2)),
+    comps = [[c.parts for c in mp.components] for mp in multipartitions(2, 2)]
+    # canonical: outer by flattened partition, inner by colors, so the pairs
+    # ((2,), (1,)), ((2,), (2,)), ((1, 1), (1, 1)), ((1, 1), (1, 2)),
+    # ((1, 1), (2, 2)) in turn
+    assert comps == [
+        [(2,), ()], [(), (2,)],
+        [(1, 1), ()], [(1,), (1,)], [(), (1, 1)],
     ]
-
-
-def test_index_bijection_roundtrip():
-    mps = multipartitions(3, 3)
-    assert len(mps) == 22
-    for mp in mps:
-        ip = index_multipartition(mp)
-        assert multipartition_from_indexed(ip) == mp
-    ip = index_multipartition(Multipartition([Partition((2,)), Partition((1,))]))
-    assert ip.base.parts == (2, 1)
-    assert ip.colors == (1, 2)
-    # ties force ascending colors
-    ip = index_multipartition(Multipartition([Partition((1,)), Partition((1,))]))
-    assert ip.base.parts == (1, 1)
-    assert ip.colors == (1, 2)
-    with pytest.raises(ValueError):
-        IndexedPartition(Partition((1, 1)), (2, 1), 2)
-    with pytest.raises(ValueError):
-        IndexedPartition(Partition((2, 1)), (3, 1), 2)
+    # the same order on larger grids, with the (partition, colors) pair
+    # rebuilt from the components: part p of component c gets color c
+    for k in range(1, 4):
+        for d in range(7):
+            keys = []
+            for mp in multipartitions(k, d):
+                pairs = sorted((-p, c) for c, comp in enumerate(mp.components, 1)
+                               for p in comp.parts)
+                keys.append((tuple(p for p, _ in pairs), tuple(c for _, c in pairs)))
+            assert keys == sorted(set(keys))
 
 
 def test_centralizer_order():

@@ -202,6 +202,17 @@ def test_named_series_dispatch():
         named_series("P_ell", 10)
     with pytest.raises(ValueError):
         named_series("P^k", 10)
+    # a parameter the series does not read is rejected, not ignored
+    for name, params, flag in [
+        ("P", {"ell": 4}, "ell"),
+        ("P", {"k": 3}, "k"),
+        ("P^k", {"k": 3, "ell": 4}, "ell"),
+        ("P_ell", {"ell": 4, "k": 3}, "k"),
+    ]:
+        with pytest.raises(ValueError, match=f"does not take {flag}"):
+            named_series(name, 10, **params)
+    with pytest.raises(ValueError, match="order"):
+        named_series("P", order=-1)
 
 
 def test_multipartition_counts():
@@ -290,6 +301,9 @@ def test_identities_small_order():
         check_identity("l-LPT", 40)
     with pytest.raises(ValueError):
         check_identity("LPT", 1000)
+    # a negative order is out of range, not an IndexError from the series
+    with pytest.raises(ValueError, match="order"):
+        check_identity("LPT", -1)
 
 
 def test_lpt_value():

@@ -1,5 +1,5 @@
 from dataclasses import FrozenInstanceError
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -33,6 +33,22 @@ def test_small_matrices():
 def test_power_to_monomial_support():
     sup = power_to_monomial(Partition((2, 1)))
     assert sup == {Partition((3,)): 1, Partition((2, 1)): 1}
+
+
+def test_power_to_monomial_against_definition():
+    # the coefficient of m_mu in p_lam counts the maps from the parts of lam
+    # to the positions of mu whose part sums at each position j equal mu_j
+    for d in range(7):
+        for lam in partitions(d):
+            expansion = power_to_monomial(lam)
+            for mu in partitions(d):
+                count = 0
+                for f in product(range(mu.length), repeat=lam.length):
+                    sums = [0] * mu.length
+                    for part, j in zip(lam.parts, f):
+                        sums[j] += part
+                    count += sums == list(mu.parts)
+                assert expansion.get(mu, 0) == count, (lam, mu)
 
 
 def test_lower_triangular_invertible():
