@@ -106,13 +106,9 @@ def _build_parser() -> _Parser:
 # invariants command
 
 
-def _multiset_line(ms: inv.InvariantMultiset) -> str:
-    return " ".join(f"{v}^{m}" for v, m in ms.sorted_items())
-
-
-def _full_breakdown(ell: int, n: int, d: int) -> tuple[str, int]:
+def _full_breakdown(ell: int, n: int, d: int) -> str:
     """Per-degree multiplicity as a sum of block-count times core-count
-    terms, with its total."""
+    terms, with its total, which must agree with the series route."""
     blocks = ser.multipartition_series(ell - 2, n // ell).coeffs
     cores = ser.core_count_series(ell, n).coeffs
     terms = []
@@ -120,7 +116,9 @@ def _full_breakdown(ell: int, n: int, d: int) -> tuple[str, int]:
     for w in range(n // ell, d - 1, -1):
         terms.append(f"{blocks[w - d]}×{cores[n - ell * w]}")
         total += blocks[w - d] * cores[n - ell * w]
-    return "+".join(terms) + f"={total}", total
+    if total != ser.multiplicity_m(ell, n, d):
+        raise ArithmeticError("breakdown disagrees with the series route")
+    return "+".join(terms) + f"={total}"
 
 
 def _invariants_payload(args) -> tuple[dict, list[str]]:
@@ -128,36 +126,23 @@ def _invariants_payload(args) -> tuple[dict, list[str]]:
         raise _UsageError("provide exactly one of --n or --weight")
     if args.ell < 2:
         raise _UsageError("--ell must be >= 2")
-    lines = []
     if args.n is not None:
-        ms = inv.full_invariants(args.ell, args.n)
         params = {"ell": args.ell, "n": args.n}
-        lines.append(f"ell={args.ell} n={args.n} total={ms.total()}")
-        lines.append("degree | invariants | multiplicity")
-        for d in sorted(ms.by_degree):
-            layer = ms.by_degree[d]
-            values = ", ".join(str(v) for v in sorted(set(layer)))
-            breakdown, total = _full_breakdown(args.ell, args.n, d)
-            if total != ser.multiplicity_m(args.ell, args.n, d):
-                raise ArithmeticError("breakdown disagrees with the series route")
-            lines.append(f"{d} | {values} | {breakdown}")
+        ms = inv.full_invariants(args.ell, args.n)
+        column = {d: _full_breakdown(args.ell, args.n, d) for d in ms.by_degree}
     else:
-        ms = inv.block_invariants(args.ell, args.weight)
         params = {"ell": args.ell, "weight": args.weight}
-        lines.append(f"ell={args.ell} weight={args.weight} total={ms.total()}")
-        lines.append("degree | invariants | multiplicity")
+        ms = inv.block_invariants(args.ell, args.weight)
         mults = ser.multipartition_series(args.ell - 2, args.weight).coeffs
-        for d in sorted(ms.by_degree):
-            layer = ms.by_degree[d]
-            values = ", ".join(str(v) for v in sorted(set(layer)))
-            lines.append(f"{d} | {values} | {mults[args.weight - d]}")
-    lines.append("total multiset: " + _multiset_line(ms))
+        column = {d: mults[args.weight - d] for d in ms.by_degree}
+    lines = [" ".join(f"{k}={v}" for k, v in params.items()) + f" total={ms.total()}",
+             "degree | invariants | multiplicity"]
     entries = []
-    for d in sorted(ms.by_degree):
-        for v in sorted(ms.by_degree[d]):
-            entries.append(
-                {"value": str(v), "multiplicity": ms.by_degree[d][v], "degree": d}
-            )
+    for d, layer in sorted(ms.by_degree.items()):
+        values = sorted(layer)
+        lines.append(f"{d} | {', '.join(map(str, values))} | {column[d]}")
+        entries += [{"value": str(v), "multiplicity": layer[v], "degree": d} for v in values]
+    lines.append("total multiset: " + " ".join(f"{v}^{m}" for v, m in ms.sorted_items()))
     payload = {"command": "invariants", "params": params, "entries": entries,
                "report": None}
     return payload, lines
@@ -219,15 +204,22 @@ def _check_suite_flags(args):
         raise _UsageError(f"verify {args.suite} needs {need} with --{given[0]}")
 
 
-def _degree_range(args, default_d_max: int) -> list[int]:
+def _degree_range(args, default_d_max: int, ell: int | None = None) -> list[int]:
     """The single --d, or degrees 0..--dmax; a negative --dmax would check
-    nothing and is rejected rather than reported as a clean run."""
+    nothing and is rejected rather than reported as a clean run.  The
+    largest degree's partition index, and with ``ell`` its multipartition
+    index, must pass the size guards before any suite runs."""
     if args.d is not None:
-        return [args.d]
-    d_max = args.dmax if args.dmax is not None else default_d_max
-    if d_max < 0:
-        raise _UsageError("--dmax must be >= 0")
-    return list(range(d_max + 1))
+        degrees = [args.d]
+    else:
+        d_max = args.dmax if args.dmax is not None else default_d_max
+        if d_max < 0:
+            raise _UsageError("--dmax must be >= 0")
+        degrees = list(range(d_max + 1))
+    inv._check_index(degrees[-1])
+    if ell is not None:
+        inv._check_index(degrees[-1], ell)
+    return degrees
 
 
 def _suite_calls(suite: str, args) -> list[tuple]:
@@ -252,7 +244,7 @@ def _suite_calls(suite: str, args) -> list[tuple]:
                 for d in range(5)]
     if suite == "reduction":
         if args.ell is not None:
-            return [(args.ell, d) for d in _degree_range(args, 2)]
+            return [(args.ell, d) for d in _degree_range(args, 2, args.ell)]
         return [(ell, d) for ell, d_max in ((3, 3), (4, 2)) for d in range(d_max + 1)]
     if args.ell is not None:
         return [(args.ell, n) for n in ([args.n] if args.n is not None else range(25))]
@@ -328,6 +320,8 @@ def _matrix_payload(args) -> tuple[dict, list[str]]:
         raise _UsageError(f"matrix {kind} requires --ell")
     if kind == "M_pm" and args.ell is not None:
         raise _UsageError("matrix M_pm does not take --ell")
+    if kind in ("B_ell", "M_pm"):
+        inv._check_index(args.d)
     if kind == "X_ell":
         m = inv.gram_matrix(args.ell, args.d)
     elif kind == "X_A":

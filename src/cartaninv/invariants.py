@@ -12,15 +12,13 @@ version with the same invariant factors as a weight-d block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd, prod
 from types import MappingProxyType
 
 from .linalg import Matrix, _reach, direct_sum, smith_normal_form, symmetric_power
 from .partitions import (
     Partition,
-    centralizer_order,
     factorial_valuation,
     is_prime,
     partitions,
@@ -28,8 +26,8 @@ from .partitions import (
     total_length,
     valuation,
 )
-from .series import (class_regular_series, count_multipartitions, multiplicity_m,
-                     multipartition_series, partition_series,
+from .series import (class_regular_series, count_multipartitions, count_partitions,
+                     multiplicity_m, multipartition_series, partition_series,
                      regular_class_regular_series)
 from .symfunc import transition_tensor
 
@@ -39,6 +37,23 @@ MAX_MULTIPARTITION_INDEX = 3000
 
 class SizeGuardError(RuntimeError):
     """Raised when a requested matrix index set exceeds its fixed bound."""
+
+
+def _check_index(d: int, ell: int | None = None) -> None:
+    """Reject, before any work, an ell below 2, a negative d, or an index past
+    its bound: the partitions of d, or with ``ell`` the (ell-1)-multipartitions
+    of d."""
+    if ell is not None and ell < 2:
+        raise ValueError("ell must be >= 2")
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    if ell is None:
+        size, bound, what = count_partitions(d), MAX_PARTITION_INDEX, f"partition index for d={d}"
+    else:
+        size, bound = count_multipartitions(ell - 1, d), MAX_MULTIPARTITION_INDEX
+        what = f"multipartition index for ell={ell}, d={d}"
+    if size > bound:
+        raise SizeGuardError(f"{what} has {size} labels, exceeding the bound {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +99,7 @@ def tensor_diagonal_blocks(seed: Matrix, d: int) -> Matrix:
     return direct_sum(blocks)
 
 
-def _conjugated(seed: Matrix, d: int, bound: int, what: str) -> Matrix:
+def _conjugated(seed: Matrix, d: int) -> Matrix:
     """The integral matrix X = T^-1 * B * T, with T the tensor transition and
     B the symmetric-power blocks of the seed, built with integers only.
 
@@ -95,17 +110,9 @@ def _conjugated(seed: Matrix, d: int, bound: int, what: str) -> Matrix:
     zero from a running reach on: end = max(end, i + 1, 1 + the last
     nonzero column of B's row i), because row m of T is zero past column
     m.  So each row is built and divided only over columns < end, then
-    padded with zeros.  A negative d raises ``ValueError`` and an index of
-    more than ``bound`` labels raises :class:`SizeGuardError`, both before
-    any work.
+    padded with zeros.  Callers check the size guard first.
     """
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    k = seed.rows
-    size = count_multipartitions(k, d)
-    if size > bound:
-        raise SizeGuardError(f"{what} has {size} labels, exceeding the bound {bound}")
-    t = transition_tensor(k, d).matrix.data
+    t = transition_tensor(seed.rows, d).matrix.data
     b = tensor_diagonal_blocks(seed, d).data
     n = len(t)
     x: list[list[int]] = []  # row j holds its columns below its own reach
@@ -128,7 +135,7 @@ def _conjugated(seed: Matrix, d: int, bound: int, what: str) -> Matrix:
             q, rem = divmod(v, pivot)
             if rem:
                 raise ArithmeticError(
-                    f"conjugated matrix for {what} is not integral; upstream bug"
+                    f"conjugated matrix for d={d} is not integral; upstream bug"
                 )
             solved.append(q)
         x.append(solved)
@@ -145,59 +152,48 @@ def gram_matrix(ell: int, d: int) -> Matrix:
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    return _conjugated(Matrix([[ell]]), d, MAX_PARTITION_INDEX,
-                       f"partition index for d={d}")
+    _check_index(d)
+    return _conjugated(Matrix([[ell]]), d)
 
 
 def tensor_gram_matrix(ell: int, d: int) -> Matrix:
     """Multipartition-indexed analogue of :func:`gram_matrix` for the seed
     equal to the type-A Lie Cartan matrix; its invariant factors are those
     of a weight-d block of the full Cartan matrix."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    return _conjugated(lie_cartan_matrix(ell), d, MAX_MULTIPARTITION_INDEX,
-                       f"multipartition index for ell={ell}, d={d}")
+    _check_index(d, ell)
+    return _conjugated(lie_cartan_matrix(ell), d)
 
 
 # ---------------------------------------------------------------------------
 # independent Gram oracle (complete homogeneous route)
 
 
-@lru_cache(maxsize=None)
-def _power_in_h(n: int) -> MappingProxyType:
-    """Power sum p_n expanded over products of complete homogeneous h's,
-    via the Newton recursion n*h_n = sum_i p_i h_(n-i); read-only because
-    the cache shares it."""
-    out: dict[tuple[int, ...], Fraction] = {(n,): Fraction(n)}
-    for i in range(1, n):
-        for key, c in _power_in_h(n - i).items():
-            new = tuple(sorted(key + (i,), reverse=True))
-            out[new] = out.get(new, Fraction(0)) - c
-    return MappingProxyType({k: v for k, v in out.items() if v})
-
-
 def _h_dict_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     for ka, va in a.items():
         for kb, vb in b.items():
             key = tuple(sorted(ka + kb, reverse=True))
-            out[key] = out.get(key, Fraction(0)) + va * vb
-    return {k: v for k, v in out.items() if v}
+            out[key] = out.get(key, 0) + va * vb
+    return out
 
 
 @lru_cache(maxsize=None)
 def _scaled_h(n: int, ell: int) -> MappingProxyType:
-    """Image of h_n under the ring map p_r -> ell * p_r, in the h basis;
-    read-only because the cache shares it."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    """h_n[ell X], the image of h_n under p_r -> ell * p_r, in the h basis.
+
+    h_n[X_1 + ... + X_ell] is the sum of h_(i_1)...h_(i_ell) over the weak
+    compositions of n into ell parts (Macdonald I.5), so h_kappa, for kappa
+    with at most ell parts, has as coefficient the number of orderings of
+    kappa padded with zeros to ell parts.  Read-only because the cache
+    shares it.
+    """
+    out = {}
     for kappa in partitions(n):
-        coeff = Fraction(ell ** kappa.length, centralizer_order(kappa))
-        term = {(): Fraction(1)}
-        for part in kappa.parts:
-            term = _h_dict_mul(term, _power_in_h(part))
-        for key, c in term.items():
-            out[key] = out.get(key, Fraction(0)) + coeff * c
-    return MappingProxyType({k: v for k, v in out.items() if v})
+        if kappa.length <= ell:
+            orderings = factorial(ell) // factorial(ell - kappa.length)
+            out[kappa.parts] = orderings // prod(
+                map(factorial, kappa.multiplicities().values()))
+    return MappingProxyType(out)
 
 
 def gram_matrix_oracle(ell: int, d: int) -> Matrix:
@@ -210,15 +206,11 @@ def gram_matrix_oracle(ell: int, d: int) -> Matrix:
     index = partitions(d)
     cols = []
     for mu in index:
-        img = {(): Fraction(1)}
+        img = {(): 1}
         for part in mu.parts:
             img = _h_dict_mul(img, _scaled_h(part, ell))
-        cols.append([img.get(lam.parts, Fraction(0)) for lam in index])
-    entries = [[cols[j][i] for j in range(len(index))] for i in range(len(index))]
-    m = Matrix(entries)
-    if not m.is_integral():
-        raise ArithmeticError("oracle produced non-integral entries")
-    return m
+        cols.append([img.get(lam.parts, 0) for lam in index])
+    return Matrix(list(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -607,13 +599,14 @@ def verify_determinants(ell: int, d_max: int,
     equal ell^(total length) for every d <= d_max.  Matrix determinants
     are checked against the same power for d up to ``matrix_d_max``
     (default: d_max), which may be lowered since the closed form is far
-    cheaper than a matrix build.  A negative d_max checks nothing and is
-    rejected rather than reported as verified.
+    cheaper than a matrix build.  A negative d_max, which checks nothing, is
+    rejected, and the largest matrix is size-guarded before any work.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    if matrix_d_max is None:
-        matrix_d_max = d_max
+    matrix_d_max = d_max if matrix_d_max is None else min(d_max, matrix_d_max)
+    if matrix_d_max >= 0:
+        _check_index(matrix_d_max)
     failures = []
     details = {}
     for d in range(d_max + 1):

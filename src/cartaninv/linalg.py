@@ -1,7 +1,8 @@
-"""Dense exact linear algebra over arbitrary-precision integers and rationals.
+"""Dense exact linear algebra over arbitrary-precision integers.
 
-Entries are Python ints or :class:`fractions.Fraction`; nothing here ever
-touches floating point, and no machine-word bound is assumed anywhere.
+Entries are Python ints, except the :class:`fractions.Fraction` entries that
+:meth:`Matrix.inverse` returns; nothing here ever touches floating point,
+and no machine-word bound is assumed anywhere.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def _bareiss(m: list[list[int]]) -> int:
 
 
 class Matrix:
-    """Immutable dense matrix with exact rational entries."""
+    """Immutable dense matrix of ints; only :meth:`inverse` makes one with
+    rational entries."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -164,19 +166,19 @@ class Matrix:
                 )
         return Matrix(out)
 
-    def det(self):
-        """Exact determinant (int for integral matrices, Fraction otherwise).
+    def det(self) -> int:
+        """Exact determinant of an integral matrix.
 
-        An integral matrix is cut into its finest contiguous diagonal blocks
-        with only zeros above them (:func:`_diagonal_blocks`), and the
+        The matrix is cut into its finest contiguous diagonal blocks with
+        only zeros above them (:func:`_diagonal_blocks`), and the
         determinant is the product of the blocks' Bareiss determinants; a
         dense matrix is one block.
         """
         if not self.is_square():
             raise ValueError("determinant requires a square matrix")
-        if self.is_integral():
-            return self._det_bareiss()
-        return self._det_fraction()
+        if not self.is_integral():
+            raise ValueError("determinant requires an integral matrix")
+        return self._det_bareiss()
 
     def _det_bareiss(self) -> int:
         rows = self.data
@@ -185,25 +187,6 @@ class Matrix:
             det *= _bareiss([list(row[start:stop]) for row in rows[start:stop]])
             if not det:
                 break
-        return det
-
-    def _det_fraction(self):
-        n = self.rows
-        m = [[Fraction(x) for x in row] for row in self.data]
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c]:
-                    f = m[r][c] * inv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[c])]
         return det
 
     def inverse(self) -> "Matrix":

@@ -218,19 +218,9 @@ def centralizer_order(lam: Partition) -> int:
     return z
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and prime_factorization(n) == [(n, 1)]
 
 
 def _require_prime(p: int):

@@ -176,13 +176,18 @@ def multipartition_series(k: int, order: int) -> Series:
     return partition_series(order) ** k
 
 
+def _over_partition_power(ell: int, k: int, order: int) -> Series:
+    """P / P(q^ell)^k, with (1/P)^k built only to order // ell."""
+    inner = partition_series(order // ell).invert() ** k
+    return partition_series(order) * inner.substitute_power(ell, order)
+
+
 @lru_cache(maxsize=None)
 def class_regular_series(ell: int, order: int) -> Series:
     """Counts of partitions with no part divisible by ell: P / P(q^ell)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    inner = partition_series(order // ell).invert()
-    return partition_series(order) * inner.substitute_power(ell, order)
+    return _over_partition_power(ell, 1, order)
 
 
 def regular_class_regular_series(ell: int, order: int) -> Series:
@@ -269,8 +274,7 @@ def core_count_series(ell: int, order: int) -> Series:
     """Number of ell-cores by size: P / P(q^ell)^ell."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    inner = partition_series(order // ell).invert() ** ell
-    return partition_series(order) * inner.substitute_power(ell, order)
+    return _over_partition_power(ell, ell, order)
 
 
 def cartan_det_series(ell: int, order: int) -> Series:
@@ -293,8 +297,7 @@ def invariant_multiplicity_series(ell: int, order: int) -> Series:
     """P_ell / P(q^ell): multiplicities of graded invariant factors."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    inner = partition_series(order // ell).invert() ** 2
-    return partition_series(order) * inner.substitute_power(ell, order)
+    return _over_partition_power(ell, 2, order)
 
 
 _NAMED = {

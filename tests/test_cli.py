@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+import cartaninv.cli as cli
+import cartaninv.invariants as inv
 from cartaninv.cli import GOLDEN_FILES, golden_text, main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -154,6 +156,10 @@ STDOUT_DIGESTS = {
         "f37406daf8d9cf97ba67d389d4d6ea10330f466c82722eb85742ed1a8c2ea9d2",
     "matrix X_A --ell 4 --d 3":
         "609a4826a9c1049d217943f5787b36b05b7784c14955b449a1d58afe05b39929",
+    "invariants --ell 6 --weight 4":
+        "f9c23bca6fa99417b8a3ad4df1f6e6486e9d1b2b949ef5c86aee2aeb6ae82cf6",
+    "invariants --ell 6 --weight 4 --format json":
+        "35e5e5e3f99f8a247bbdebf9335961577f910f5da591f4629ccf3e8631637901",
 }
 
 
@@ -164,10 +170,26 @@ def test_stdout_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, line
 
 
-def test_size_guard_exit(capsys):
-    code, _, err = run(capsys, "matrix", "X_ell", "--ell", "4", "--d", "30")
-    assert code == 1
-    assert "exceeding" in err
+def test_size_guard_exit(capsys, monkeypatch):
+    # a request past a size guard fails before any matrix is built, even
+    # when the smaller degrees of its range are inside the guards
+    builds = []
+    for module, name in [(inv, "transition_tensor"), (inv, "length_power_diagonal"),
+                         (inv, "smith_normal_form"), (cli, "transition_p_to_m")]:
+        monkeypatch.setattr(module, name, lambda *a, name=name: builds.append(name))
+    for argv, labels in [
+        ("matrix X_ell --ell 4 --d 30", "5604 labels, exceeding the bound 1000"),
+        ("matrix M_pm --d 22", "1002 labels, exceeding the bound 1000"),
+        ("matrix B_ell --ell 2 --d 40", "37338 labels, exceeding the bound 1000"),
+        ("verify det --ell 4 --dmax 22", "1002 labels, exceeding the bound 1000"),
+        ("verify snf --ell 4 --dmax 22", "1002 labels, exceeding the bound 1000"),
+        ("verify splitting --a 2 --b 3 --dmax 22", "1002 labels, exceeding the bound 1000"),
+        ("verify reduction --ell 6 --dmax 8", "6765 labels, exceeding the bound 3000"),
+        ("verify reduction --ell 2 --d 22", "1002 labels, exceeding the bound 1000"),
+    ]:
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == "" and labels in err, argv
+    assert builds == []
 
 
 def test_matrix_command(capsys):

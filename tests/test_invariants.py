@@ -64,22 +64,23 @@ def test_gram_matrix_values():
 
 
 def test_gram_matrix_oracle_agrees():
-    for ell in (2, 3, 4, 6):
-        for d in range(5):
+    for ell in range(2, 9):
+        for d in range(7):
             assert gram_matrix_oracle(ell, d) == gram_matrix(ell, d)
 
 
 def test_gram_matrices_match_rational_conjugation():
-    # the integer forward substitution against T^-1 * B * T over Fractions
+    # the forward substitution solves T * X = B * T; T is invertible, so the
+    # product identity in integers pins X = T^-1 * B * T
     for ell in range(2, 7):
         for d in range(6):
             t = transition_p_to_m(d).matrix
-            assert gram_matrix(ell, d) == t.inverse() * length_power_diagonal(ell, d) * t
+            assert t * gram_matrix(ell, d) == length_power_diagonal(ell, d) * t
     for ell in (3, 4):
         for d in range(4):
             t = transition_tensor(ell - 1, d).matrix
             b = tensor_diagonal_blocks(lie_cartan_matrix(ell), d)
-            assert tensor_gram_matrix(ell, d) == t.inverse() * b * t
+            assert t * tensor_gram_matrix(ell, d) == b * t
 
 
 def test_gram_matrix_rejects_non_integral_conjugate(monkeypatch):
@@ -98,9 +99,8 @@ def test_gram_matrix_size_guard():
 
 
 def test_cached_h_expansions_are_read_only():
-    for cached in (invariants._power_in_h(3), invariants._scaled_h(2, 3)):
-        with pytest.raises(TypeError):
-            cached[(1, 1)] = 0
+    with pytest.raises(TypeError):
+        invariants._scaled_h(2, 3)[(1, 1)] = 0
 
 
 def test_tensor_gram_matrix():
