@@ -19,6 +19,8 @@ from types import MappingProxyType
 from .linalg import Matrix, _reach, direct_sum, smith_normal_form, symmetric_power
 from .partitions import (
     Partition,
+    _factorial_valuation,
+    _valuation,
     factorial_valuation,
     is_prime,
     partitions,
@@ -244,10 +246,10 @@ def graded_invariant_prime_power(lam: Partition, p: int, r: int) -> int:
     if r < 1:
         raise ValueError("r must be >= 1")
     exponent = 0
-    for n, m in lam.multiplicities().items():
-        v = valuation(n, p)
+    for n, m in lam.multiplicities().items():  # parts and multiplicities are >= 1
+        v = _valuation(n, p)
         if v < r:
-            exponent += (r - v) * m + factorial_valuation(m, p)
+            exponent += (r - v) * m + _factorial_valuation(m, p)
     return p ** exponent
 
 

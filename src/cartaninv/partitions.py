@@ -233,6 +233,11 @@ def valuation(n: int, p: int) -> int:
     _require_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _valuation(n, p)
+
+
+def _valuation(n: int, p: int) -> int:
+    """:func:`valuation` for a caller that has checked p prime and n >= 1."""
     v = 0
     while n % p == 0:
         n //= p
@@ -245,6 +250,12 @@ def factorial_valuation(a: int, p: int) -> int:
     _require_prime(p)
     if a < 0:
         raise ValueError("a must be >= 0")
+    return _factorial_valuation(a, p)
+
+
+def _factorial_valuation(a: int, p: int) -> int:
+    """:func:`factorial_valuation` for a caller that has checked p prime
+    and a >= 0."""
     total = 0
     q = p
     while q <= a:
@@ -256,7 +267,7 @@ def factorial_valuation(a: int, p: int) -> int:
 def partition_defect(lam: Partition, p: int) -> int:
     """Sum of :func:`factorial_valuation` over the part multiplicities."""
     _require_prime(p)
-    return sum(factorial_valuation(m, p) for m in lam.multiplicities().values())
+    return sum(_factorial_valuation(m, p) for m in lam.multiplicities().values())
 
 
 def prime_factorization(n: int) -> list[tuple[int, int]]:

@@ -9,10 +9,52 @@ coefficient is ever produced.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
+from math import gcd
 
 DEFAULT_ORDER = 64
 MAX_ORDER = 512
+
+
+def _halves(count: int, width: int) -> int:
+    """Half a slot, 2^(8 width - 1), in each of ``count`` slots of
+    ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs, width: int) -> int:
+    """Kronecker packing: the int sum of c_i 2^(8 width i) over the
+    coefficients, for |c_i| < 2^(8 width - 1).  Each slot is written as
+    c_i plus half a slot, which is non-negative, and the halves are then
+    taken off the whole int."""
+    half = 1 << (8 * width - 1)
+    slots = map(int.to_bytes, map(half.__add__, coeffs), repeat(width), repeat("little"))
+    return int.from_bytes(b"".join(slots), "little") - _halves(len(coeffs), width)
+
+
+def _unpack(x: int, count: int, width: int) -> list[int]:
+    """The signed values of the low ``count`` slots of a packed int whose
+    slot values lie strictly between -2^(8 width - 1) and 2^(8 width - 1);
+    the slots above them are ignored."""
+    size = count * width
+    low = (x + _halves(count, width)) & ((1 << 8 * size) - 1)
+    buf = low.to_bytes(size, "little")
+    slots = map(buf.__getitem__,
+                map(slice, range(0, size, width), range(width, size + width, width)))
+    minus_half = -(1 << (8 * width - 1))
+    return list(map(minus_half.__add__, map(int.from_bytes, slots, repeat("little"))))
+
+
+def _stride(coeffs) -> int:
+    """The largest s such that every nonzero coefficient sits at a degree
+    divisible by s, so the series is f(q^s); ``len(coeffs)`` when only the
+    constant term can be nonzero.  Stops at the first gcd of 1."""
+    s = 0
+    for d in compress(range(len(coeffs)), coeffs):
+        s = gcd(s, d)
+        if s == 1:
+            return 1
+    return s or len(coeffs)
 
 
 class Series:
@@ -31,9 +73,9 @@ class Series:
             raise ValueError("order must be >= 0")
         coeffs = coeffs[: order + 1]
         coeffs += [0] * (order + 1 - len(coeffs))
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
+        for kind in set(map(type, coeffs)):
+            if not issubclass(kind, int):
+                raise TypeError(f"coefficients must be ints, got {kind.__name__}")
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "order", order)
 
@@ -65,29 +107,37 @@ class Series:
         return Series([a - b for a, b in zip(self.coeffs, other.coeffs)], n)
 
     def __mul__(self, other: "Series") -> "Series":
-        """Truncated product by Kronecker substitution: the sign halves of
-        each operand are packed into big ints, one slot per coefficient, and
-        a slot of a+b+ + a-b- or a+b- + a-b+ is at most (n+1) max|a| max|b|."""
+        """Truncated product by Kronecker substitution (Harvey 2009): each
+        operand is packed into one signed int, one slot per coefficient, and
+        the int product is read back from its low n+1 slots.
+
+        A product coefficient c_k, k <= n, is at most
+        min(sum|a| max|b|, max|a| sum|b|) in absolute value, and the slots
+        are wide enough for that bound; the slots above n may overflow, but
+        carries only move up, so the low n+1 slots are exact.  When one
+        operand is f(q^s) with s >= 2, only the other one is packed, and the
+        int product is the sum over j of f_j times that packed int shifted
+        up by s j slots, which skips the zero coefficients of f(q^s)."""
         n = min(self.order, other.order)
         a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-        bound = (n + 1) * max(map(abs, a)) * max(map(abs, b))
+        abs_a, abs_b = list(map(abs, a)), list(map(abs, b))
+        bound = min(sum(abs_a) * max(abs_b), max(abs_a) * sum(abs_b))
         if not bound:
             return Series([], n)
-        width = (bound.bit_length() + 7) // 8
-
-        def pack(half):
-            return int.from_bytes(b"".join(
-                map(int.to_bytes, half, repeat(width), repeat("little"))), "little")
-
-        def unpack(x):
-            buf = x.to_bytes((2 * n + 1) * width, "little")
-            return [int.from_bytes(buf[i: i + width], "little")
-                    for i in range(0, (n + 1) * width, width)]
-
-        ap, bp = pack([c if c > 0 else 0 for c in a]), pack([c if c > 0 else 0 for c in b])
-        am, bm = pack([-c if c < 0 else 0 for c in a]), pack([-c if c < 0 else 0 for c in b])
-        plus, minus = unpack(ap * bp + am * bm), unpack(ap * bm + am * bp)
-        return Series([x - y for x, y in zip(plus, minus)], n)
+        width = (bound.bit_length() + 8) // 8  # bound < 2^(8 width - 1)
+        stride_a, stride_b = _stride(a), _stride(b)
+        if stride_a > stride_b:
+            a, b, stride_b = b, a, stride_a
+        packed = _pack(a, width)
+        if stride_b > 1:
+            f = b[::stride_b]
+            step = 8 * width * stride_b
+            shifts = range(0, step * len(f), step)
+            product = sum(map(int.__mul__, compress(f, f),
+                              map(packed.__lshift__, compress(shifts, f))))
+        else:
+            product = packed * (packed if b is a else _pack(b, width))
+        return Series(_unpack(product, n + 1, width), n)
 
     def __pow__(self, k: int) -> "Series":
         if k < 0:
@@ -277,6 +327,7 @@ def core_count_series(ell: int, order: int) -> Series:
     return _over_partition_power(ell, ell, order)
 
 
+@lru_cache(maxsize=None)
 def cartan_det_series(ell: int, order: int) -> Series:
     """Exponent of ell in the full Cartan determinant: P_ell * T(q^ell)."""
     if ell < 2:

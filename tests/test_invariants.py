@@ -120,8 +120,11 @@ def test_graded_invariant_prime_power():
                 expected = p ** (r * d) * p ** factorial_valuation(d, p)
                 assert graded_invariant_prime_power(
                     Partition((1,) * d), p, r) == expected
-    with pytest.raises(ValueError):
-        graded_invariant_prime_power(Partition((1,)), 4, 1)
+    # p is checked once, before the unchecked valuations of the parts
+    for p in (-3, 0, 1, 4, 6, 9):
+        for lam in (Partition(()), Partition((1,)), Partition((6, 4, 2, 2, 1))):
+            with pytest.raises(ValueError, match="not prime"):
+                graded_invariant_prime_power(lam, p, 1)
 
 
 def test_graded_invariant_closed_forms_agree_everywhere():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,9 @@ def test_series_basics():
     assert Series([1], 3).coeffs == (1, 0, 0, 0)
     with pytest.raises(TypeError):
         Series([1.5])
+    with pytest.raises(TypeError, match="Fraction"):
+        Series([1, True, Fraction(2)])
+    assert Series([True, 2, False]).coeffs == (1, 2, 0)
     with pytest.raises(ValueError):
         s.coeff(5)
     # arithmetic truncates to the smaller order
@@ -62,6 +66,12 @@ def test_cached_series_are_immutable():
         del cached.coeffs
     assert partition_series(5) is cached
     assert cached.coeffs == (1, 1, 2, 3, 5, 7) and cached.order == 5
+    # Cartan-reduction reads C_ab once for every factorization ab
+    det = cartan_det_series(6, 30)
+    assert cartan_det_series(6, 30) is det
+    with pytest.raises(AttributeError):
+        det.coeffs = (0,) * 31
+    assert det == cartan_det_series.__wrapped__(6, 30)
 
 
 def schoolbook(a, b):
@@ -83,6 +93,30 @@ def test_mul_matches_schoolbook():
         cases.append((a, b))
     big = sum(1 for a, b in cases if max(map(abs, a.coeffs)) > 2 ** 200)
     assert big >= 5
+
+    def signed(order, bits):
+        return Series([rng.randint(-2 ** bits, 2 ** bits) * rng.randint(0, 1)
+                       for _ in range(order + 1)])
+
+    # operands f(q^s), which take the shift-and-add route: s from 2 to past
+    # the order, f signed, one or both operands strided, f its constant term
+    for order in (0, 1, 5, 17, 40):
+        for s in range(2, order + 3):
+            f, g = signed(order // s, 64), signed(order // 2, 8)
+            strided = f.substitute_power(s, order)
+            cases += [(signed(order, 64), strided), (strided, signed(order, 4)),
+                      (strided, g.substitute_power(2, order)),
+                      (strided, Series([f.coeffs[0]], order))]
+    cases += [(Series([3], 6), Series([-2], 6)), (Series([5], 6), Series([0, 1], 6))]
+    # coefficients at the edge of a slot width: the bound is 2^(8k-1) - 1,
+    # the largest value a slot of k bytes holds, or one more
+    for k in (1, 2, 3, 9):
+        for edge in (2 ** (8 * k - 1) - 1, 2 ** (8 * k - 1)):
+            for sign in (1, -1):
+                cases += [(Series([sign * edge, -sign * edge, 0, sign * edge]), Series([1], 3)),
+                          (Series([sign * edge]), Series([-1])),
+                          (Series([-edge, -edge], 1), Series([sign, sign], 1)),
+                          (Series([sign * edge, 0, edge], 2), Series([-1, 0, 0], 2))]
     for a, b in cases:
         product = a * b
         assert product.order == min(a.order, b.order)
