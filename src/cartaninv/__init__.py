@@ -6,7 +6,6 @@ from .partitions import (
     Multipartition,
     Partition,
     adic_decomposition,
-    centralizer_order,
     class_regular_partitions,
     core,
     factorial_valuation,

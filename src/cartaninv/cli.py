@@ -18,6 +18,7 @@ from . import invariants as inv
 from . import series as ser
 from .invariants import SizeGuardError
 from .linalg import smith_normal_form
+from .partitions import is_prime, prime_support
 from .symfunc import transition_p_to_m
 
 EXIT_OK = 0
@@ -332,7 +333,10 @@ def _matrix_payload(args) -> tuple[dict, list[str]]:
         m = transition_p_to_m(args.d).matrix
     params = {"kind": kind, "ell": args.ell, "d": args.d, "snf": bool(args.snf)}
     if args.snf:
-        chain = smith_normal_form(m).invariant_factors
+        # det M_pm is the product of its diagonal, the m_i(lambda)!
+        primes = ([p for p in range(2, args.d + 1) if is_prime(p)] if kind == "M_pm"
+                  else prime_support(args.ell))
+        chain = smith_normal_form(m, primes=primes).invariant_factors
         lines = [", ".join(str(x) for x in chain)]
         payload = {"command": "matrix", "params": params,
                    "snf": [str(x) for x in chain]}

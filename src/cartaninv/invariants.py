@@ -25,6 +25,7 @@ from .partitions import (
     is_prime,
     partitions,
     prime_factorization,
+    prime_support,
     total_length,
     valuation,
 )
@@ -462,10 +463,10 @@ def verify_snf_conjecture(ell: int, d: int) -> VerificationReport:
     Status is ``verified``/``refuted`` only for prime powers p^r with
     r <= p; other moduli are conjecture range and report ``unproven-*``.
     """
-    x = gram_matrix(ell, d)
-    computed = smith_normal_form(x).invariant_factors
-    predicted = graded_to_snf([g.value for g in graded_invariants(ell, d)])
     factorization = prime_factorization(ell)
+    x = gram_matrix(ell, d)
+    computed = smith_normal_form(x, primes=[p for p, _ in factorization]).invariant_factors
+    predicted = graded_to_snf([g.value for g in graded_invariants(ell, d)])
     theorem = len(factorization) == 1 and factorization[0][1] <= factorization[0][0]
     match = computed == predicted
     if theorem:
@@ -494,9 +495,9 @@ def verify_splitting(a: int, b: int, d: int) -> VerificationReport:
     ok = xab == xa * xb
     witness: dict = {"matrix_identity": ok}
     if gcd(a, b) == 1:
-        sa = smith_normal_form(xa).invariant_factors
-        sb = smith_normal_form(xb).invariant_factors
-        sab = smith_normal_form(xab).invariant_factors
+        sa = smith_normal_form(xa, primes=prime_support(a)).invariant_factors
+        sb = smith_normal_form(xb, primes=prime_support(b)).invariant_factors
+        sab = smith_normal_form(xab, primes=prime_support(a * b)).invariant_factors
         product = tuple(x * y for x, y in zip(sa, sb))
         witness["snf_product"] = product
         witness["snf_computed"] = sab
@@ -522,13 +523,14 @@ def verify_reduction(ell: int, d: int) -> VerificationReport:
     are the union of its blocks', so the reference chain is merged per
     prime (:func:`graded_to_snf`) from the small blocks' invariant factors.
     """
+    primes = prime_support(ell)
     xa = tensor_gram_matrix(ell, d)
-    computed = smith_normal_form(xa).invariant_factors
+    computed = smith_normal_form(xa, primes=primes).invariant_factors
     mults = multipartition_series(ell - 2, d).coeffs
     divisors: dict[int, int] = {}
     for s in range(d + 1):
         if mults[d - s]:
-            for f in smith_normal_form(gram_matrix(ell, s)).invariant_factors:
+            for f in smith_normal_form(gram_matrix(ell, s), primes=primes).invariant_factors:
                 _add_entry(divisors, f, mults[d - s])
     reference = graded_to_snf(divisors)
     seed = lie_cartan_matrix(ell)

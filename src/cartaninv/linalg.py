@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+
+from .partitions import valuation
 
 
 def _norm(x):
@@ -286,96 +287,71 @@ class SnfResult:
         return Matrix(out)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*a + v*b == g == gcd(a, b), for a, b >= 0."""
-    u0, u1, v0, v1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return a, u0, v0
+def _local_exponents(rows, p: int, v: int) -> list[int]:
+    """Exponents of the prime ``p`` in the invariant factors of a nonsingular
+    square matrix with v_p(|det|) = ``v``, ascending, by elimination over
+    Z/p^k.
 
-
-def _clear_first_column(a: list[list[int]], mod: int) -> bool:
-    """Zero a[i][0] for i > 0 by unimodular row operations modulo ``mod``.
-
-    Returns whether row 0 changed, which may leave its other entries dirty.
-    A pivot that already divides the entry gets a plain multiple
-    subtracted: the extended gcd of (p, p) is (0, 1), a swap that would
-    never lower the pivot.
+    Any entry not divisible by p is a unit pivot: its row is scaled by the
+    inverse and the rest becomes the Schur complement, so the pivot records
+    the current shift.  A block with no unit is p times a block known to
+    one digit less, so it is divided by p and the shift grows by one.  The
+    shift plus the precision stays k; a block still left once the
+    precision is used up has every factor divisible by p^k, so k is
+    doubled and the elimination restarts.  Since the exponents sum to v,
+    k = v + 1 never runs out on a nonsingular input.
     """
-    moved = False
-    for i in range(1, len(a)):
-        b = a[i][0]
-        if not b:
-            continue
-        top, row = a[0], a[i]
-        p = top[0]
-        if p and not b % p:
-            q = b // p
-            a[i] = [(y - q * x) % mod for x, y in zip(top, row)]
-            continue
-        g, u, v = _xgcd(p, b)
-        pg, bg = p // g, b // g
-        a[0] = [(u * x + v * y) % mod for x, y in zip(top, row)]
-        a[i] = [(pg * y - bg * x) % mod for x, y in zip(top, row)]
-        moved = True
-    return moved
-
-
-def _snf_mod_det(rows, det: int) -> tuple[int, ...]:
-    """Invariant factors of a nonsingular square matrix with |det| = ``det``,
-    by elimination modulo a shrinking R (Hafner-McCurley; Cohen, Alg. 2.4.14).
-
-    det * Z^n lies in the column lattice, so Z^n / (lattice + R Z^n) is the
-    cokernel while R is its order.  Each stage clears the pivot's column
-    and row mod R (the row on the transpose, which has the same factors),
-    makes gcd(pivot, R) divide the rest, then takes f = gcd(pivot, R) as
-    the next factor and goes on with the rest modulo R // f.
-    """
-    mod = det
-    a = [[x % mod for x in row] for row in rows]
-    factors = []
-    while a:
-        _clear_first_column(a, mod)
-        a = [list(col) for col in zip(*a)]
-        while True:
-            # row 0 is clean; the pass leaves it so unless the pivot moved
-            moved = _clear_first_column(a, mod)
-            a = [list(col) for col in zip(*a)]
-            if moved:
+    k = min(v + 1, 2 * -(-v // len(rows)) + 2)
+    while True:
+        q, shift, exps = p ** k, 0, []
+        a = [[x % q for x in row] for row in rows]
+        while a and q > 1:
+            unit = next(((i, j) for i, row in enumerate(a)
+                         for j, x in enumerate(row) if x % p), None)
+            if unit is None:
+                a = [[x // p for x in row] for row in a]
+                q //= p
+                shift += 1
                 continue
-            f = gcd(a[0][0], mod)
-            bad = next((j for row in a[1:] for j, x in enumerate(row) if x % f), None)
-            if bad is None:
-                break
-            for row in a:  # puts an entry f does not divide into column 0
-                row[0] = (row[0] + row[bad]) % mod
-        factors.append(f)
-        mod //= f
-        a = [[x % mod for x in row[1:]] for row in a[1:]]
-    if mod != 1 or any(y % x for x, y in zip(factors, factors[1:])):
-        raise ArithmeticError(
-            f"modular SNF {factors} does not multiply to |det| = {det} as a chain")
-    return tuple(factors)
+            i, j = unit
+            prow = a.pop(i)
+            inv = pow(prow.pop(j), -1, q)
+            prow = [x * inv % q for x in prow]
+            exps.append(shift)
+            schur = []
+            for row in a:
+                c = row.pop(j)
+                schur.append([(x - c * y) % q for x, y in zip(row, prow)] if c else row)
+            a = schur
+        if not a:
+            return exps
+        if k > v:
+            raise ArithmeticError(
+                f"{len(a)} invariant factors are divisible by {p}^{k}, "
+                f"past v_{p}(|det|) = {v}")
+        k = min(2 * k, v + 1)
 
 
-def smith_normal_form(mat: Matrix, want_transforms: bool = False) -> SnfResult:
+def smith_normal_form(mat: Matrix, want_transforms: bool = False, *,
+                      primes=None) -> SnfResult:
     """Smith normal form of an integral matrix.
 
-    Without transforms, a square input with nonzero determinant D (from
-    :meth:`Matrix.det`, so Bareiss on each diagonal block) is reduced
-    modulo D, so no entry exceeds D: see :func:`_snf_mod_det`.  That route
-    checks itself: the factors must form a divisibility chain whose product
-    is D, else ``ArithmeticError``.
+    With ``primes``, the prime support of |det|, a square nonsingular input
+    takes the local route, one prime at a time.  D = |det| comes from
+    :meth:`Matrix.det`; for each p the exponents of p in the factors come
+    from elimination over Z/p^k (:func:`_local_exponents`) and must sum to
+    v_p(D), and D must have no prime outside ``primes``, else
+    ``ArithmeticError``.  The factors are the positionwise products of the
+    per-prime chains.  ``primes`` with transforms, rectangular or singular
+    input is a ``ValueError``.
 
-    Transforms, rectangular and singular input take the route over Z.
-    Pivots are chosen as the nonzero entry of minimal absolute value in the
-    remaining submatrix; rows and columns are reduced with floor division,
-    and before each pivot is finalized every remaining entry is forced to
-    be divisible by it, so the diagonal comes out as a divisibility chain
-    directly.  Entry growth is handled by arbitrary-precision ints.
+    Without ``primes``, the route is over Z, for any shape, with optional
+    transforms.  Pivots are chosen as the nonzero entry of minimal absolute
+    value in the remaining submatrix; rows and columns are reduced with
+    floor division, and before each pivot is finalized every remaining
+    entry is forced to be divisible by it, so the diagonal comes out as a
+    divisibility chain directly.  Entry growth is handled by
+    arbitrary-precision ints.
 
     For an n x m input A the working array is A itself, or with
     ``want_transforms`` the augmented ``[[A, I_n], [I_m, 0]]``.  Row
@@ -385,10 +361,22 @@ def smith_normal_form(mat: Matrix, want_transforms: bool = False) -> SnfResult:
     """
     if not mat.is_integral():
         raise ValueError("smith_normal_form requires an integral matrix")
-    if not want_transforms and mat.is_square():
-        det = abs(mat.det())
-        if det:
-            return SnfResult(_snf_mod_det(mat.data, det))
+    if primes is not None:
+        rest = mat.is_square() and not want_transforms and abs(mat.det())
+        if not rest:
+            raise ValueError("primes= takes a square nonsingular matrix and no transforms")
+        factors = [1] * mat.rows
+        for p in primes:
+            v = valuation(rest, p)
+            rest //= p ** v
+            exps = _local_exponents(mat.data, p, v)
+            if sum(exps) != v:
+                raise ArithmeticError(
+                    f"the exponents {exps} of {p} do not sum to v_{p}(|det|) = {v}")
+            factors = [f * p ** e for f, e in zip(factors, exps)]
+        if rest != 1:
+            raise ArithmeticError(f"|det| has the factor {rest} outside the primes {primes}")
+        return SnfResult(tuple(factors))
     n, m = mat.rows, mat.cols
     a = [list(row) for row in mat.data]
     if want_transforms:
@@ -449,6 +437,6 @@ def smith_normal_form(mat: Matrix, want_transforms: bool = False) -> SnfResult:
                      right=Matrix([row[:m] for row in a[n:]]))
 
 
-def invariant_factors(mat: Matrix) -> tuple[int, ...]:
+def invariant_factors(mat: Matrix, *, primes=None) -> tuple[int, ...]:
     """Shorthand for the invariant-factor chain alone."""
-    return smith_normal_form(mat).invariant_factors
+    return smith_normal_form(mat, primes=primes).invariant_factors

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
 
 
 class Partition:
@@ -210,14 +209,6 @@ def multipartitions(k: int, d: int) -> list[Multipartition]:
     return out
 
 
-def centralizer_order(lam: Partition) -> int:
-    """The product over part values r of ``r^m(r) * m(r)!``."""
-    z = 1
-    for r, m in lam.multiplicities().items():
-        z *= r ** m * factorial(m)
-    return z
-
-
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     return n >= 2 and prime_factorization(n) == [(n, 1)]
@@ -287,6 +278,11 @@ def prime_factorization(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def prime_support(n: int) -> list[int]:
+    """The primes dividing ``n >= 2``, ascending."""
+    return [p for p, _ in prime_factorization(n)]
 
 
 def adic_decomposition(lam: Partition, base: int) -> list[Partition]:

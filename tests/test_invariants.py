@@ -374,7 +374,8 @@ def _direct_sum_chain(ell, d):
     # once per (ell-2)-multipartition of d - s, and its SNF
     blocks = [Matrix.identity(count_multipartitions(ell - 2, d - s)).kron(gram_matrix(ell, s))
               for s in range(d + 1) if count_multipartitions(ell - 2, d - s)]
-    return invariant_factors(direct_sum(blocks))
+    return invariant_factors(direct_sum(blocks),
+                             primes=[p for p, _ in prime_factorization(ell)])
 
 
 def test_verify_reduction():

@@ -12,6 +12,7 @@ from cartaninv.linalg import (
     smith_normal_form,
     symmetric_power,
 )
+from cartaninv.partitions import valuation
 
 
 def tridiagonal(n):
@@ -106,6 +107,13 @@ def test_snf_zero_and_rectangular():
     assert invariant_factors(Matrix([[0, 0], [0, 0]])) == (0, 0)
     assert invariant_factors(Matrix([[2, 4, 6]])) == (2,)
     assert invariant_factors(Matrix([[2], [3]])) == (1,)
+    # the local route takes square nonsingular input and no transforms
+    for m, want in [(Matrix([[1, 2], [2, 4]]), False), (Matrix([[2, 4, 6]]), False),
+                    (Matrix([[2, 0], [0, 3]]), True)]:
+        with pytest.raises(ValueError, match="primes="):
+            smith_normal_form(m, want, primes=(2, 3))
+    with pytest.raises(ValueError, match="not prime"):
+        invariant_factors(Matrix.diagonal([2, 4]), primes=(4,))
 
 
 def test_snf_rank_deficient():
@@ -207,11 +215,13 @@ def test_snf_matches_sympy():
 
 
 def test_snf_pivot_equal_to_later_entry():
-    # the extended gcd of (2, 2) is a swap that keeps the pivot at 2; the
-    # modular route must subtract a multiple instead, or it cycles here
+    # an entry equal to the pivot leaves no remainder, so the integer route
+    # clears it at once rather than promoting it; the local route agrees, on
+    # these and on gram_matrix(3, 9)
     assert invariant_factors(Matrix([[2, 2], [0, 2]])) == (2, 2)
     assert invariant_factors(Matrix([[4, 6], [2, 2]])) == (2, 2)
-    assert invariant_factors(gram_matrix(3, 9)) == graded_to_snf(
+    assert invariant_factors(Matrix([[2, 2], [0, 2]]), primes=(2,)) == (2, 2)
+    assert invariant_factors(gram_matrix(3, 9), primes=(3,)) == graded_to_snf(
         [g.value for g in graded_invariants(3, 9)])
 
 
@@ -222,32 +232,47 @@ def _unimodular(rng, n, lower):
 
 
 def test_snf_of_scrambled_known_chain():
-    # U * diag(chain) * V with unimodular U and V has exactly that chain
+    # U * diag(chain) * V with unimodular U and V has exactly that chain, by
+    # both routes once the chain is over {2, 3, 5}; a last factor times p^20
+    # has an exponent past the local route's first precision 2 ceil(v/n) + 2
     rng = random.Random(11)
     big = 2 ** 64 + 13
-    huge = repeated = 0
+    huge = repeated = local = restarts = 0
     for trial in range(40):
         n = rng.randint(1, 7)
         chain, d = [], 1
         for _ in range(n):
             d *= rng.choice((1, 1, 2, 3, 6, big if trial % 4 == 0 else 5))
             chain.append(d)
+        if trial % 4 == 1:
+            chain[-1] *= rng.choice((2, 3, 5)) ** 20
         u = _unimodular(rng, n, True) * _unimodular(rng, n, False)
         v = _unimodular(rng, n, False) * _unimodular(rng, n, True)
         m = u * Matrix.diagonal(chain) * v
         assert invariant_factors(m) == tuple(chain), chain
         assert smith_normal_form(m, want_transforms=True).invariant_factors == tuple(chain)
+        if trial % 4:
+            assert invariant_factors(m, primes=(2, 3, 5)) == tuple(chain), chain
+            local += 1
+            exps = [[valuation(x, p) for x in chain] for p in (2, 3, 5)]
+            restarts += any(e[-1] >= 2 * -(-sum(e) // n) + 2 for e in exps)
         huge += chain[-1] > big
         repeated += len(set(chain)) < n
-    assert huge >= 4 and repeated >= 10
+    assert huge >= 4 and repeated >= 10 and local == 30 and restarts >= 5
 
 
 def test_snf_modular_route_checks_its_product(monkeypatch):
+    # |det| = 28: the local route's exponents must sum to v_p(|det|) at each
+    # given prime, and no other prime may be left in |det|
     m = Matrix([[4, 6, 1], [2, 2, 0], [1, 5, 9]])
+    assert invariant_factors(m, primes=(2, 7)) == (1, 1, 28)
+    with pytest.raises(ArithmeticError, match="outside the primes"):
+        invariant_factors(m, primes=(2,))
     true_det = Matrix._det_bareiss
-    monkeypatch.setattr(Matrix, "_det_bareiss", lambda self: 2 * true_det(self))
-    with pytest.raises(ArithmeticError, match="does not multiply to"):
-        invariant_factors(m)
+    for scale, message in [(lambda d: 2 * d, "do not sum"), (lambda d: d // 2, "past v_2")]:
+        monkeypatch.setattr(Matrix, "_det_bareiss", lambda self, f=scale: f(true_det(self)))
+        with pytest.raises(ArithmeticError, match=message):
+            invariant_factors(m, primes=(2, 7))
 
 
 def _finest_cut(rows):
@@ -307,10 +332,12 @@ def test_block_determinant_matches_oracles():
 
 
 def test_snf_modulus_comes_from_public_det(monkeypatch):
-    # the modular route reads its modulus through Matrix.det, which traces it
+    # the local route reads |det| through Matrix.det, which traces it; the
+    # integer route reads no determinant
     m = Matrix([[4, 6, 1], [2, 2, 0], [1, 5, 9]])
     true_det = Matrix.det
     calls = []
     monkeypatch.setattr(Matrix, "det", lambda self: calls.append(self) or true_det(self))
-    assert invariant_factors(m) == (1, 1, abs(true_det(m)))
+    assert invariant_factors(m, primes=(2, 7)) == (1, 1, abs(true_det(m)))
+    assert invariant_factors(m) == (1, 1, 28)
     assert calls == [m]

@@ -6,7 +6,6 @@ import pytest
 from cartaninv.partitions import (
     Partition,
     adic_decomposition,
-    centralizer_order,
     class_regular_partitions,
     color_sequences,
     core,
@@ -54,7 +53,6 @@ def test_partition_validation():
         Partition((2, -1))
     assert Partition(()).size == 0
     assert Partition(()).length == 0
-    assert centralizer_order(Partition(())) == 1
 
 
 def test_enumeration_order():
@@ -152,13 +150,6 @@ def test_multipartition_canonical_order():
                                for p in comp.parts)
                 keys.append((tuple(p for p, _ in pairs), tuple(c for _, c in pairs)))
             assert keys == sorted(set(keys))
-
-
-def test_centralizer_order():
-    assert centralizer_order(Partition((2, 2, 1))) == 8
-    for d in range(1, 7):
-        assert centralizer_order(Partition((1,) * d)) == math.factorial(d)
-        assert centralizer_order(Partition((d,))) == d
 
 
 def test_valuations_and_defects():
