@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from math import factorial, gcd, prod
 from types import MappingProxyType
 
-from .linalg import Matrix, _reach, direct_sum, smith_normal_form, symmetric_power
+from .linalg import Matrix, direct_sum, smith_normal_form, symmetric_power
 from .partitions import (
     Partition,
     _factorial_valuation,
@@ -109,40 +110,43 @@ def _conjugated(seed: Matrix, d: int) -> Matrix:
     T is lower triangular with nonzero diagonal in the canonical order, so
     T * X = B * T is solved row by row by forward substitution; every
     division by T[i][i] must be exact, and a remainder means X is not
-    integral, which is an upstream bug.  Row i of B * T, and so of X, is
-    zero from a running reach on: end = max(end, i + 1, 1 + the last
-    nonzero column of B's row i), because row m of T is zero past column
-    m.  So each row is built and divided only over columns < end, then
-    padded with zeros.  Callers check the size guard first.
+    integral, which is an upstream bug.  T, B and X are sparse, so the work
+    runs over nonzeros only: row i of B * T sums B[i][m] times row m of T
+    over its nonzero columns, and each X[j] with T[i][j] nonzero is
+    subtracted over its own nonzero columns.  The column lists are local,
+    not cached beside T, and share one list of column numbers, so they cost
+    one pointer per nonzero.  Callers check the size guard first.
     """
     t = transition_tensor(seed.rows, d).matrix.data
     b = tensor_diagonal_blocks(seed, d).data
     n = len(t)
-    x: list[list[int]] = []  # row j holds its columns below its own reach
-    end = 0
-    for i in range(n):
-        end = _reach(b[i], max(end, i + 1))
+    cols = list(range(n))
+    t_nonzero = [list(compress(cols, row)) for row in t]
+    x_nonzero: list[list[int]] = []
+    rows: list[list[int]] = []
+    for i in cols:
         # row i of B * T, less T[i][j] * X[j] for j < i, is T[i][i] * X[i]
-        row = [0] * end
-        for m, c in enumerate(b[i][:end]):
-            if c:
-                row = [r + c * v for r, v in zip(row, t[m])]
-        for j in range(i):
-            c = t[i][j]
-            if c:
-                xj = x[j]
-                row[: len(xj)] = [r - c * v for r, v in zip(row, xj)]
-        pivot = t[i][i]
-        solved = []
-        for v in row:
-            q, rem = divmod(v, pivot)
+        row = [0] * n
+        b_i = b[i]
+        for m in compress(cols, b_i):
+            c, t_m = b_i[m], t[m]
+            for j in t_nonzero[m]:
+                row[j] += c * t_m[j]
+        t_i = t[i]
+        for j in t_nonzero[i]:
+            if j < i:
+                c, x_j = t_i[j], rows[j]
+                for k in x_nonzero[j]:
+                    row[k] -= c * x_j[k]
+        pivot = t_i[i]
+        nonzero = list(compress(cols, row))
+        for k in nonzero:
+            row[k], rem = divmod(row[k], pivot)
             if rem:
-                raise ArithmeticError(
-                    f"conjugated matrix for d={d} is not integral; upstream bug"
-                )
-            solved.append(q)
-        x.append(solved)
-    return Matrix([row + [0] * (n - len(row)) for row in x])
+                raise ArithmeticError(f"conjugated matrix for d={d} is not integral; upstream bug")
+        x_nonzero.append(nonzero)
+        rows.append(row)
+    return Matrix(rows)
 
 
 def gram_matrix(ell: int, d: int) -> Matrix:

@@ -27,21 +27,16 @@ def _norm(x):
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
-def _reach(row, lo: int) -> int:
-    """max(lo, 1 + the index of the last nonzero entry), reading row[lo:] only."""
-    for k in range(len(row) - 1, lo - 1, -1):
-        if row[k]:
-            return k + 1
-    return lo
-
-
 def _diagonal_blocks(rows) -> list[tuple[int, int]]:
     """The finest cut of a square array into contiguous diagonal blocks with
     only zeros above them, as (start, stop) pairs, in one O(n^2) scan: a
     block closes at row i once no row so far reaches past column i."""
     blocks, start, end = [], 0, 0
     for i, row in enumerate(rows):
-        end = _reach(row, max(end, i + 1))
+        # the reach: 1 + the last nonzero column at or past lo, else lo
+        lo = max(end, i + 1)
+        last = itertools.compress(range(len(row) - 1, lo - 1, -1), reversed(row))
+        end = 1 + next(last, lo - 1)
         if end == i + 1:
             blocks.append((start, end))
             start = end
@@ -78,7 +73,8 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        data = tuple(tuple(_norm(x) for x in row) for row in data)
+        data = tuple(row if {int}.issuperset(map(type, row)) else tuple(map(_norm, row))
+                     for row in map(tuple, data))
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         cols = len(data[0])

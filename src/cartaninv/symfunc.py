@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from math import prod
 from types import MappingProxyType
 
 from .linalg import Matrix
@@ -66,15 +68,29 @@ def power_to_monomial(lam: Partition) -> dict[Partition, int]:
     }
 
 
+def _fill(keys) -> Matrix:
+    """The matrix whose entry (i, j) is the product over colors c of the
+    coefficient of m_keys[j][c] in p_keys[i][c], for keys listing the part
+    tuples of each color.  Each row is filled from the product of its
+    components' supports, every term of which is a key of the same degree
+    vector, so only the nonzero entries are visited."""
+    pos = {key: j for j, key in enumerate(keys)}
+    rows = []
+    for key in keys:
+        row = [0] * len(keys)
+        for terms in product(*(_power_sum_support(parts).items() for parts in key)):
+            mus, coeffs = zip(*terms)
+            row[pos[mus]] = prod(coeffs)
+        rows.append(row)
+    return Matrix(rows)
+
+
 @lru_cache(maxsize=None)
 def transition_p_to_m(d: int) -> TransitionMatrix:
     """Degree-d matrix expressing power sums in monomials, canonical index."""
     index = tuple(partitions(d))
-    rows = []
-    for lam in index:
-        support = _power_sum_support(lam.parts)
-        rows.append([support.get(mu.parts, 0) for mu in index])
-    return TransitionMatrix(degree=d, index=index, matrix=Matrix(rows))
+    matrix = _fill([(lam.parts,) for lam in index])
+    return TransitionMatrix(degree=d, index=index, matrix=matrix)
 
 
 @lru_cache(maxsize=None)
@@ -87,23 +103,5 @@ def transition_tensor(k: int, d: int) -> TransitionMatrix:
     if k < 1:
         raise ValueError("k must be >= 1")
     index = tuple(multipartitions(k, d))
-    n = len(index)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, mp in enumerate(index):
-        groups.setdefault(mp.degree_vector(), []).append(i)
-    supports = [
-        tuple(_power_sum_support(comp.parts) for comp in mp.components) for mp in index
-    ]
-    rows = [[0] * n for _ in range(n)]
-    for members in groups.values():
-        for i in members:
-            sup_i = supports[i]
-            row = rows[i]
-            for j in members:
-                v = 1
-                for sup, comp in zip(sup_i, index[j].components):
-                    v *= sup.get(comp.parts, 0)
-                    if not v:
-                        break
-                row[j] = v
-    return TransitionMatrix(degree=d, index=index, matrix=Matrix(rows))
+    keys = [tuple(comp.parts for comp in mp.components) for mp in index]
+    return TransitionMatrix(degree=d, index=index, matrix=_fill(keys))

@@ -1,3 +1,4 @@
+from hashlib import sha256
 from math import gcd
 
 import pytest
@@ -73,14 +74,22 @@ def test_gram_matrices_match_rational_conjugation():
     # the forward substitution solves T * X = B * T; T is invertible, so the
     # product identity in integers pins X = T^-1 * B * T
     for ell in range(2, 7):
-        for d in range(6):
+        for d in range(9):
             t = transition_p_to_m(d).matrix
             assert t * gram_matrix(ell, d) == length_power_diagonal(ell, d) * t
-    for ell in (3, 4):
-        for d in range(4):
+    for ell in (3, 4, 5, 6):
+        for d in range(5 if ell >= 5 else 4):
             t = transition_tensor(ell - 1, d).matrix
             b = tensor_diagonal_blocks(lie_cartan_matrix(ell), d)
             assert t * tensor_gram_matrix(ell, d) == b * t
+    # past the product checks, the builds are pinned byte for byte
+    for mat, digest in [
+        (gram_matrix(4, 17),
+         "ac627a3002a612530c00d9e5670a1e4207faba058656b9c4d380e06b5dadab88"),
+        (tensor_gram_matrix(6, 5),
+         "d1d05bcb51ffaf69bcccbcb84f3aa57a5ff716aa3df9b878edfc12b800581d66"),
+    ]:
+        assert sha256(repr(mat.data).encode()).hexdigest() == digest
 
 
 def test_gram_matrix_rejects_non_integral_conjugate(monkeypatch):

@@ -28,12 +28,18 @@ def test_matrix_basics():
     assert m[(1, 1)] == 2
     assert m.is_integral()
     assert not Matrix([[Fraction(1, 2)]]).is_integral()
-    # integral Fractions normalize to ints
-    assert isinstance(Matrix([[Fraction(4, 2)]])[(0, 0)], int)
+    # integral Fractions normalize to ints; bools and other Fractions stay
+    assert type(Matrix([[Fraction(4, 2)]])[(0, 0)]) is int
+    assert type(Matrix([[True]])[(0, 0)]) is bool
+    assert Matrix([[Fraction(1, 2)]])[(0, 0)] == Fraction(1, 2)
+    mixed = Matrix([[1, Fraction(6, 3), Fraction(1, 3)]]).data[0]
+    assert [type(x) for x in mixed] == [int, int, Fraction]
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
     with pytest.raises(TypeError):
         Matrix([[1.5]])
+    with pytest.raises(TypeError):
+        Matrix([[1, 1.5]])
 
 
 def test_mul_and_shape_errors():

@@ -94,17 +94,18 @@ def test_tensor_degree_blocks():
 
 
 def test_tensor_entries_factor():
-    t = transition_tensor(2, 3)
-    singles = {d: transition_p_to_m(d) for d in range(4)}
-    for i, a in enumerate(t.index):
-        for j, b in enumerate(t.index):
-            if a.degree_vector() != b.degree_vector():
-                continue
-            expected = 1
-            for ca, cb in zip(a.components, b.components):
-                tm = singles[ca.size]
-                expected *= tm.matrix[(tm.index.index(ca), tm.index.index(cb))]
-            assert t.matrix[(i, j)] == expected
+    singles = {d: transition_p_to_m(d) for d in range(5)}
+    for k, d in [(2, 3)] + [(3, d) for d in range(5)]:
+        t = transition_tensor(k, d)
+        for i, a in enumerate(t.index):
+            for j, b in enumerate(t.index):
+                expected = 0
+                if a.degree_vector() == b.degree_vector():
+                    expected = 1
+                    for ca, cb in zip(a.components, b.components):
+                        tm = singles[ca.size]
+                        expected *= tm.matrix[(tm.index.index(ca), tm.index.index(cb))]
+                assert t.matrix[(i, j)] == expected
 
 
 def test_tensor_matches_kron_blocks():
