@@ -99,7 +99,11 @@ class Matrix:
         return self.data[i][j]
 
     def is_integral(self) -> bool:
-        return all(isinstance(x, int) for row in self.data for x in row)
+        """Every entry is an int (``bool`` included); one C-level scan per
+        row, by exact type first and by ``isinstance`` only if that fails."""
+        return all({int}.issuperset(map(type, row))
+                   or all(map(isinstance, row, itertools.repeat(int)))
+                   for row in self.data)
 
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd
+from operator import mul
+from struct import unpack
 
 DEFAULT_ORDER = 64
 MAX_ORDER = 512
@@ -35,12 +37,12 @@ def _pack(coeffs, width: int) -> int:
 def _unpack(x: int, count: int, width: int) -> list[int]:
     """The signed values of the low ``count`` slots of a packed int whose
     slot values lie strictly between -2^(8 width - 1) and 2^(8 width - 1);
-    the slots above them are ignored."""
+    the slots above them are ignored.  Half a slot is added to each slot,
+    so every slot holds a non-negative value, and one ``struct.unpack``
+    call splits the low bytes into the slots."""
     size = count * width
     low = (x + _halves(count, width)) & ((1 << 8 * size) - 1)
-    buf = low.to_bytes(size, "little")
-    slots = map(buf.__getitem__,
-                map(slice, range(0, size, width), range(width, size + width, width)))
+    slots = unpack(f"{width}s" * count, low.to_bytes(size, "little"))
     minus_half = -(1 << (8 * width - 1))
     return list(map(minus_half.__add__, map(int.from_bytes, slots, repeat("little"))))
 
@@ -220,10 +222,18 @@ def partition_series(order: int) -> Series:
 
 @lru_cache(maxsize=None)
 def multipartition_series(k: int, order: int) -> Series:
-    """Counts of k-component multipartitions by total size (P^k)."""
+    """Counts of k-component multipartitions by total size (P^k), from the
+    cached lower powers: P^(k-1) * P for odd k and (P^(k/2))^2 for even k.
+    A k not yet built takes as many products as binary powering, and the
+    powers it passes through stay cached for the next k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return partition_series(order) ** k
+    if k < 2:
+        return partition_series(order) ** k
+    if k % 2:
+        return multipartition_series(k - 1, order) * partition_series(order)
+    half = multipartition_series(k // 2, order)
+    return half * half
 
 
 def _over_partition_power(ell: int, k: int, order: int) -> Series:
@@ -276,11 +286,13 @@ def class_regular_divisor_series(ell: int, order: int) -> Series:
     return Series(c, order)
 
 
+@lru_cache(maxsize=None)
 def length_series(order: int) -> Series:
     """Total number of parts over all partitions of d, computed as P*T."""
     return partition_series(order) * divisor_series(order)
 
 
+@lru_cache(maxsize=None)
 def class_regular_length_series(ell: int, order: int) -> Series:
     """Total parts over class-regular partitions, computed as P_ell * T_ell."""
     return class_regular_series(ell, order) * class_regular_divisor_series(ell, order)
@@ -308,15 +320,19 @@ def class_regular_length_series_direct(ell: int, order: int) -> Series:
 def _length_counts(p, parts) -> Series:
     """c[d] = sum over j in parts and m >= 1 of p[d - j*m], p counting the
     partitions into those parts: a term counts the partitions of d with at
-    least m copies of j, so c[d] is their total number of parts."""
+    least m copies of j, so c[d] is their total number of parts.
+
+    Grouped by e = j*m, c[d] = sum over e of t[e] p[d - e], where t[e]
+    counts the pairs (j, m) with j in parts and j*m = e; each c[d] is then
+    one dot product of t against p reversed."""
     order = len(p) - 1
-    c = [0] * (order + 1)
+    t = [0] * (order + 1)
     for j in parts:
-        s = [0] * (order + 1)  # s[d] = sum over m >= 1 of p[d - j*m]
-        for d in range(j, order + 1):
-            s[d] = p[d - j] + s[d - j]
-            c[d] += s[d]
-    return Series(c, order)
+        for e in range(j, order + 1, j):
+            t[e] += 1
+    reverse = p[::-1]  # p[d - e] = reverse[order - d + e]
+    return Series([sum(map(mul, t[1:d + 1], reverse[order - d + 1:]))
+                   for d in range(order + 1)], order)
 
 
 @lru_cache(maxsize=None)
@@ -378,8 +394,8 @@ def named_series(name: str, order: int = DEFAULT_ORDER, ell: int | None = None,
             raise ValueError(f"series {name!r} requires {flag}")
         if not needed and value is not None:
             raise ValueError(f"series {name!r} does not take {flag}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order must lie in 0..{MAX_ORDER}, got {order}")
     return _NAMED[name](order, ell, k)
 
 
@@ -430,7 +446,7 @@ def check_identity(name: str, order: int = 60, ell: int | None = None,
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in 0..{MAX_ORDER}, got {order}")
     if name == "LPT":
-        return length_series_direct(order) == partition_series(order) * divisor_series(order)
+        return length_series_direct(order) == length_series(order)
     if name == "Cartan-reduction":
         if a is None or b is None:
             raise ValueError("Cartan-reduction requires a and b")
@@ -442,7 +458,7 @@ def check_identity(name: str, order: int = 60, ell: int | None = None,
         raise ValueError(f"identity {name!r} requires ell")
     if name == "l-LPT":
         lhs = class_regular_length_series_direct(ell, order)
-        return lhs == class_regular_series(ell, order) * class_regular_divisor_series(ell, order)
+        return lhs == class_regular_length_series(ell, order)
     if name == "L-dec":
         rhs = class_regular_series(ell, order) \
             * length_series(order // ell).substitute_power(ell, order) \

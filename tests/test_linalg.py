@@ -28,6 +28,9 @@ def test_matrix_basics():
     assert m[(1, 1)] == 2
     assert m.is_integral()
     assert not Matrix([[Fraction(1, 2)]]).is_integral()
+    # a bool is an int; a non-integral entry in any row, after int rows, is not
+    assert Matrix([[True, 2], [3, False]]).is_integral()
+    assert not Matrix([[1, 2], [3, Fraction(1, 3)]]).is_integral()
     # integral Fractions normalize to ints; bools and other Fractions stay
     assert type(Matrix([[Fraction(4, 2)]])[(0, 0)]) is int
     assert type(Matrix([[True]])[(0, 0)]) is bool

@@ -10,9 +10,14 @@ from cartaninv.partitions import (
     partitions,
 )
 from cartaninv.series import (
+    MAX_ORDER,
     Series,
+    _length_counts,
+    _pack,
+    _unpack,
     cartan_det_series,
     check_identity,
+    class_regular_length_series,
     class_regular_length_series_direct,
     class_regular_series,
     core_count,
@@ -22,6 +27,7 @@ from cartaninv.series import (
     invariant_multiplicity_series,
     length_series,
     length_series_direct,
+    multipartition_series,
     multiplicity_m,
     named_series,
     partition_series,
@@ -72,6 +78,14 @@ def test_cached_series_are_immutable():
     with pytest.raises(AttributeError):
         det.coeffs = (0,) * 31
     assert det == cartan_det_series.__wrapped__(6, 30)
+    # the powers of P and the length series are cached and shared as well
+    for build, args in ((multipartition_series, (5, 30)), (multipartition_series, (4, 30)),
+                        (length_series, (30,)), (class_regular_length_series, (6, 30))):
+        cached = build(*args)
+        assert build(*args) is cached, build
+        with pytest.raises(AttributeError):
+            cached.coeffs = (0,) * 31
+        assert cached == build.__wrapped__(*args), build
 
 
 def schoolbook(a, b):
@@ -139,6 +153,37 @@ def test_pow_matches_repeated_multiplication():
             expected = expected * inverse
             assert s ** -k == expected, (s, -k)
             assert s ** -k * s ** k == Series.one(s.order)
+
+
+def test_multipartition_series_is_the_power_of_p():
+    # P^k comes from the cached lower powers; each must equal the plain power
+    for n in (0, 1, 7, 60):
+        for k in range(13):
+            assert multipartition_series(k, n) == partition_series(n) ** k, (k, n)
+
+
+def test_pack_unpack_round_trip():
+    for width in range(1, 18):
+        edge = 2 ** (8 * width - 1) - 1
+        for count in (1, 513):
+            values = [(edge, 0, -edge)[i % 3] for i in range(count)]
+            packed = _pack(values, width)
+            assert _unpack(packed, count, width) == values, (width, count)
+            # junk in the slots above count is ignored
+            junk = packed + (_pack([-edge, edge, 1], width) << (8 * width * count))
+            assert _unpack(junk, count, width) == values, (width, count)
+
+
+def test_length_counts_against_brute_force():
+    parts, order = (2, 3, 7), 40
+    p = [0] * (order + 1)  # partitions into the parts 2, 3 and 7
+    p[0] = 1
+    for j in parts:
+        for d in range(j, order + 1):
+            p[d] += p[d - j]
+    expected = [sum(p[d - j * m] for j in parts for m in range(1, d // j + 1))
+                for d in range(order + 1)]
+    assert _length_counts(p, parts).coeffs == tuple(expected)
 
 
 def test_truncate():
@@ -247,6 +292,11 @@ def test_named_series_dispatch():
             named_series(name, 10, **params)
     with pytest.raises(ValueError, match="order"):
         named_series("P", order=-1)
+    # the library call is bounded as the CLI is, before any work
+    assert named_series("P", MAX_ORDER).order == MAX_ORDER
+    for order in (MAX_ORDER + 1, 100000):
+        with pytest.raises(ValueError, match=f"0..{MAX_ORDER}"):
+            named_series("P", order=order)
 
 
 def test_multipartition_counts():
