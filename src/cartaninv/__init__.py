@@ -5,16 +5,10 @@ verification suites tying them together."""
 from .partitions import (
     Multipartition,
     Partition,
-    adic_decomposition,
     class_regular_partitions,
-    core,
     factorial_valuation,
-    glaisher,
     multipartitions,
-    partition_defect,
-    recompose,
     regular_partitions,
-    regular_split,
     total_length,
     valuation,
 )

@@ -304,9 +304,6 @@ class InvariantMultiset:
     def total(self) -> int:
         return sum(self.entries.values())
 
-    def max_value(self) -> int:
-        return max(self.entries) if self.entries else 1
-
     def sorted_items(self) -> list[tuple[int, int]]:
         """(value, multiplicity) pairs, largest value first."""
         return sorted(self.entries.items(), reverse=True)
@@ -467,6 +464,8 @@ def verify_snf_conjecture(ell: int, d: int) -> VerificationReport:
     Status is ``verified``/``refuted`` only for prime powers p^r with
     r <= p; other moduli are conjecture range and report ``unproven-*``.
     """
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
     factorization = prime_factorization(ell)
     x = gram_matrix(ell, d)
     computed = smith_normal_form(x, primes=[p for p, _ in factorization]).invariant_factors

@@ -85,10 +85,6 @@ class Matrix:
         self.cols = cols
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def diagonal(cls, entries) -> "Matrix":
         entries = list(entries)
         n = len(entries)
@@ -109,12 +105,7 @@ class Matrix:
         return self.rows == self.cols
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb))
-        )
+        return isinstance(other, Matrix) and self.data == other.data
 
     def __hash__(self):
         return hash(self.data)
@@ -148,9 +139,6 @@ class Matrix:
                 for row in self.data
             ]
         )
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.data)))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; index pairs flatten row-major, (i, k) -> i*rows2 + k."""
@@ -276,15 +264,6 @@ class SnfResult:
     invariant_factors: tuple[int, ...]
     left: Matrix | None = None
     right: Matrix | None = None
-
-    def diagonal(self, rows: int | None = None, cols: int | None = None) -> Matrix:
-        n = len(self.invariant_factors)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
-        out = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(self.invariant_factors):
-            out[i][i] = d
-        return Matrix(out)
 
 
 def _local_exponents(rows, p: int, v: int) -> list[int]:

@@ -95,11 +95,6 @@ class Series:
             raise ValueError(f"degree {d} outside truncation order {self.order}")
         return self.coeffs[d]
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs[: order + 1], order)
-
     def __add__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
         return Series([a + b for a, b in zip(self.coeffs, other.coeffs)], n)
@@ -224,15 +219,29 @@ def partition_series(order: int) -> Series:
 def multipartition_series(k: int, order: int) -> Series:
     """Counts of k-component multipartitions by total size (P^k), from the
     cached lower powers: P^(k-1) * P for odd k and (P^(k/2))^2 for even k.
-    A k not yet built takes as many products as binary powering, and the
-    powers it passes through stay cached for the next k."""
+    The chain k -> k-1 or k/2 is walked down to k < 2 and the powers on it
+    are built in ascending order, each from the one cached before it, so no
+    call recurses more than one level at any k.  A k not yet built takes as
+    many products as binary powering, and the powers it passes through stay
+    cached for the next k."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    chain = [k]
+    while chain[-1] >= 2:
+        chain.append(chain[-1] - 1 if chain[-1] % 2 else chain[-1] // 2)
+    for j in reversed(chain):
+        power = _power_of_p(j, order)
+    return power
+
+
+@lru_cache(maxsize=None)
+def _power_of_p(k: int, order: int) -> Series:
+    """P^k from P^(k-1) or P^(k/2), which the caller has built first."""
     if k < 2:
         return partition_series(order) ** k
     if k % 2:
-        return multipartition_series(k - 1, order) * partition_series(order)
-    half = multipartition_series(k // 2, order)
+        return _power_of_p(k - 1, order) * partition_series(order)
+    half = _power_of_p(k // 2, order)
     return half * half
 
 

@@ -101,6 +101,11 @@ def test_usage_errors(capsys):
         ("matrix X_A --ell 3 --d -1", "d must be >= 0"),
         ("matrix B_ell --ell 3 --d -1", "d must be >= 0"),
         ("matrix M_pm --d -1", "d must be >= 0"),
+        # an ell below 2 is named by its own flag in every suite
+        ("verify snf --ell 1", "ell must be >= 2"),
+        ("verify det --ell 1", "ell must be >= 2"),
+        ("verify reduction --ell 1", "ell must be >= 2"),
+        ("verify kor --ell 1", "ell must be >= 2"),
     ]:
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == "" and message in err, argv
@@ -218,6 +223,10 @@ def test_series_command(capsys):
                        "--order", "3", "--format", "json")
     payload = json.loads(out)
     assert payload["coefficients"] == ["1", "4", "14", "40"]
+    # a huge k builds its power chain in a loop, not by deep recursion
+    k = 2 ** 2000 - 1
+    code, out, _ = run(capsys, "series", "--name", "P^k", "--k", str(k), "--order", "1")
+    assert code == 0 and out == f"1 {k}\n"
 
 
 def test_verify_exit_codes(capsys):

@@ -13,6 +13,7 @@ from cartaninv.linalg import (
     symmetric_power,
 )
 from cartaninv.partitions import valuation
+from oracles import snf_diagonal, transpose
 
 
 def tridiagonal(n):
@@ -68,7 +69,7 @@ def test_det_and_inverse():
 
 def test_kron_and_direct_sum():
     m = Matrix([[1, 2], [3, 4]])
-    assert Matrix.identity(2).kron(m) == direct_sum([m, m])
+    assert Matrix.diagonal([1, 1]).kron(m) == direct_sum([m, m])
     a = Matrix([[1, 2]])
     b = Matrix([[0, 1], [1, 0]])
     k = a.kron(b)
@@ -84,7 +85,7 @@ def test_symmetric_power():
     idx = list(combinations_with_replacement(range(2), 2))
     assert s2[(idx.index((0, 0)), idx.index((1, 1)))] == 1
     # dimension of the m-th power of a k x k matrix is C(k+m-1, m)
-    assert symmetric_power(Matrix.identity(3), 3).rows == 10
+    assert symmetric_power(Matrix.diagonal([1] * 3), 3).rows == 10
     # diagonal input stays diagonal with product entries
     d = Matrix.diagonal([2, 3, 5])
     s = symmetric_power(d, 2)
@@ -143,7 +144,7 @@ def test_snf_transpose_invariance():
         cols = rng.randint(1, 6)
         m = Matrix(
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-        assert invariant_factors(m) == invariant_factors(m.transpose())
+        assert invariant_factors(m) == invariant_factors(transpose(m))
 
 
 def _check_snf(m):
@@ -156,7 +157,7 @@ def _check_snf(m):
             assert a != 0 and b % a == 0
     assert res.left.det() in (1, -1)
     assert res.right.det() in (1, -1)
-    assert res.left * m * res.right == res.diagonal(m.rows, m.cols)
+    assert res.left * m * res.right == snf_diagonal(chain, m.rows, m.cols)
     return chain
 
 

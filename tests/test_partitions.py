@@ -5,21 +5,23 @@ import pytest
 
 from cartaninv.partitions import (
     Partition,
-    adic_decomposition,
     class_regular_partitions,
     color_sequences,
-    core,
     factorial_valuation,
-    glaisher,
     multipartitions,
-    partition_defect,
     partitions,
-    recompose,
     regular_partitions,
-    regular_split,
-    repeat_parts,
     total_length,
     valuation,
+)
+from oracles import (
+    adic_decomposition,
+    core,
+    glaisher,
+    partition_defect,
+    recompose,
+    regular_split,
+    repeat_parts,
 )
 
 

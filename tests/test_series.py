@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartaninv.partitions import (
-    class_regular_partitions,
-    core,
-    partition_defect,
-    partitions,
-)
+from cartaninv.partitions import class_regular_partitions, partitions
 from cartaninv.series import (
     MAX_ORDER,
     Series,
@@ -32,6 +27,7 @@ from cartaninv.series import (
     named_series,
     partition_series,
 )
+from oracles import core, partition_defect, truncate
 
 
 def euler_product_restricted(ell, order):
@@ -160,6 +156,11 @@ def test_multipartition_series_is_the_power_of_p():
     for n in (0, 1, 7, 60):
         for k in range(13):
             assert multipartition_series(k, n) == partition_series(n) ** k, (k, n)
+    for k in range(41):
+        assert multipartition_series(k, 30) == partition_series(30) ** k, k
+    # about 4000 powers on the chain of a huge k, none of them a recursion
+    k = 2 ** 2000 - 1
+    assert multipartition_series(k, 1).coeffs == (1, k)
 
 
 def test_pack_unpack_round_trip():
@@ -188,9 +189,9 @@ def test_length_counts_against_brute_force():
 
 def test_truncate():
     s = partition_series(10)
-    assert s.truncate(4).coeffs == (1, 1, 2, 3, 5)
+    assert truncate(s, 4).coeffs == (1, 1, 2, 3, 5)
     with pytest.raises(ValueError):
-        s.truncate(20)
+        truncate(s, 20)
 
 
 def test_invert_and_substitute():
