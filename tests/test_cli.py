@@ -155,6 +155,9 @@ STDOUT_DIGESTS = {
         "f59621888cf8517bb8f7e3f339cf6bceff15df2db8ca5ccd634cb8eb4a5fb648",
     "verify reduction --ell 3 --d 2 --format json":
         "9a21ea249926159f09d3a54adb4653621a9d14c8f29a90273ffe4b4fa53acfb4",
+    # odd ell: the d = 1 witness determinants are -1
+    "verify reduction --ell 5 --dmax 3 --format json":
+        "1576300547e28af4fca28b49db9b225bd1f20be79e2e7ba954347e6b4d74f237",
     "matrix M_pm --d 12":
         "5de609f7d44eb3be33b158552875037b41ce8c816b52b9a2584eaf7898c21b05",
     "matrix X_ell --ell 6 --d 12":
