@@ -24,7 +24,6 @@ from .linalg import (
     Matrix,
     SnfResult,
     direct_sum,
-    invariant_factors,
     smith_normal_form,
     symmetric_power,
 )

@@ -515,16 +515,35 @@ def verify_splitting(a: int, b: int, d: int) -> VerificationReport:
     )
 
 
+def _seed_transforms(ell: int) -> tuple[Matrix, Matrix]:
+    """Smith transforms U, V of the seed A = lie_cartan_matrix(ell), in closed
+    form: U * A * V = diag(1, ..., 1, ell) and det U = det V = (-1)^ell.
+
+    With n = ell - 1 and x = (1, ..., n), A * x = ell * e_n, so V is the
+    identity's columns e_2, ..., e_n followed by x.  The top n - 1 rows of
+    A * V are [L | 0] with L = -(I - N)^2 and N the lower shift, so the top
+    rows of U are [L^-1 | 0], L^-1[i][j] = -(i - j + 1) for j <= i; the last
+    row of U, (ell - 1 - j for j < n - 1) and then 1, clears row n of A * V
+    down to ell in its last column.
+    """
+    n = ell - 1
+    v = [[int(i == j + 1) for j in range(n - 1)] + [i + 1] for i in range(n)]
+    u = [[j - i - 1 if j <= i else 0 for j in range(n)] for i in range(n - 1)]
+    u.append([ell - 1 - j for j in range(n - 1)] + [1])
+    return Matrix(u), Matrix(v)
+
+
 def verify_reduction(ell: int, d: int) -> VerificationReport:
     """Check that the multipartition matrix reduces to the one-color data.
 
     Compares invariant factors of the tensor matrix with those of the
     block-diagonal reference, the direct sum over s <= d of
-    gram_matrix(ell, s) repeated once per (ell-2)-multipartition of d - s,
-    and checks that the conjugated symmetric powers of the Smith transforms
-    of the seed are unimodular.  The elementary divisors of a direct sum
-    are the union of its blocks', so the reference chain is merged per
-    prime (:func:`graded_to_snf`) from the small blocks' invariant factors.
+    gram_matrix(ell, s) repeated once per (ell-2)-multipartition of d - s.
+    Multiplies out the closed-form Smith transforms of the seed
+    (:func:`_seed_transforms`) and checks that their symmetric-power tensor
+    blocks are unimodular.  The elementary divisors of a direct sum are the
+    union of its blocks', so the reference chain is merged per prime
+    (:func:`graded_to_snf`) from the small blocks' invariant factors.
     """
     primes = prime_support(ell)
     xa = tensor_gram_matrix(ell, d)
@@ -536,12 +555,12 @@ def verify_reduction(ell: int, d: int) -> VerificationReport:
             for f in smith_normal_form(gram_matrix(ell, s), primes=primes).invariant_factors:
                 _add_entry(divisors, f, mults[d - s])
     reference = graded_to_snf(divisors)
-    seed = lie_cartan_matrix(ell)
-    snf_seed = smith_normal_form(seed, want_transforms=True)
-    det_u = tensor_diagonal_blocks(snf_seed.left, d).det()
-    det_v = tensor_diagonal_blocks(snf_seed.right, d).det()
+    u, v = _seed_transforms(ell)
+    smith = u * lie_cartan_matrix(ell) * v == Matrix.diagonal([1] * (ell - 2) + [ell])
+    det_u = tensor_diagonal_blocks(u, d).det()
+    det_v = tensor_diagonal_blocks(v, d).det()
     unimodular = abs(det_u) == 1 and abs(det_v) == 1
-    ok = computed == reference and unimodular
+    ok = computed == reference and smith and unimodular
     return VerificationReport(
         claim="reduction",
         params={"ell": ell, "d": d},

@@ -255,15 +255,9 @@ def symmetric_power(y: Matrix, m: int) -> Matrix:
 
 @dataclass
 class SnfResult:
-    """Invariant factors d_1 | d_2 | ... plus optional unimodular transforms.
-
-    When transforms are requested, left * input * right equals the diagonal
-    matrix of the invariant factors and both transforms have determinant +-1.
-    """
+    """Invariant factors d_1 | d_2 | ..., the Smith normal form's diagonal."""
 
     invariant_factors: tuple[int, ...]
-    left: Matrix | None = None
-    right: Matrix | None = None
 
 
 def _local_exponents(rows, p: int, v: int) -> list[int]:
@@ -311,111 +305,31 @@ def _local_exponents(rows, p: int, v: int) -> list[int]:
         k = min(2 * k, v + 1)
 
 
-def smith_normal_form(mat: Matrix, want_transforms: bool = False, *,
-                      primes=None) -> SnfResult:
-    """Smith normal form of an integral matrix.
+def smith_normal_form(mat: Matrix, *, primes) -> SnfResult:
+    """Smith normal form of a square nonsingular integral matrix, one prime
+    at a time.
 
-    With ``primes``, the prime support of |det|, a square nonsingular input
-    takes the local route, one prime at a time.  D = |det| comes from
+    ``primes`` is the prime support of |det|.  D = |det| comes from
     :meth:`Matrix.det`; for each p the exponents of p in the factors come
     from elimination over Z/p^k (:func:`_local_exponents`) and must sum to
     v_p(D), and D must have no prime outside ``primes``, else
     ``ArithmeticError``.  The factors are the positionwise products of the
-    per-prime chains.  ``primes`` with transforms, rectangular or singular
-    input is a ``ValueError``.
-
-    Without ``primes``, the route is over Z, for any shape, with optional
-    transforms.  Pivots are chosen as the nonzero entry of minimal absolute
-    value in the remaining submatrix; rows and columns are reduced with
-    floor division, and before each pivot is finalized every remaining
-    entry is forced to be divisible by it, so the diagonal comes out as a
-    divisibility chain directly.  Entry growth is handled by
-    arbitrary-precision ints.
-
-    For an n x m input A the working array is A itself, or with
-    ``want_transforms`` the augmented ``[[A, I_n], [I_m, 0]]``.  Row
-    operations act on whole rows, so columns m.. of the first n rows carry
-    ``left``; column operations walk every row, so rows n.. carry
-    ``right``.  Pivot search and reduction read only the n x m block of A.
+    per-prime chains.  A rectangular or singular input is a ``ValueError``.
     """
     if not mat.is_integral():
         raise ValueError("smith_normal_form requires an integral matrix")
-    if primes is not None:
-        rest = mat.is_square() and not want_transforms and abs(mat.det())
-        if not rest:
-            raise ValueError("primes= takes a square nonsingular matrix and no transforms")
-        factors = [1] * mat.rows
-        for p in primes:
-            v = valuation(rest, p)
-            rest //= p ** v
-            exps = _local_exponents(mat.data, p, v)
-            if sum(exps) != v:
-                raise ArithmeticError(
-                    f"the exponents {exps} of {p} do not sum to v_{p}(|det|) = {v}")
-            factors = [f * p ** e for f, e in zip(factors, exps)]
-        if rest != 1:
-            raise ArithmeticError(f"|det| has the factor {rest} outside the primes {primes}")
-        return SnfResult(tuple(factors))
-    n, m = mat.rows, mat.cols
-    a = [list(row) for row in mat.data]
-    if want_transforms:
-        a = [row + [int(i == k) for k in range(n)] for i, row in enumerate(a)]
-        a += [[int(j == k) for k in range(m)] + [0] * n for j in range(m)]
-
-    factors = []
-    for t in range(min(n, m)):
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                v = a[i][j]
-                if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        r, c = best  # the row and column to swap into position t
-        while True:
-            if r != t:
-                a[t], a[r] = a[r], a[t]
-            if c != t:
-                for row in a:
-                    row[t], row[c] = row[c], row[t]
-            r = c = t
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            p = a[t][t]
-            for i in range(t + 1, n):
-                q = a[i][t] // p
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t]:
-                    # remainder is smaller than the pivot; promote it
-                    r = i
-                    break
-            if r != t:
-                continue
-            for j in range(t + 1, m):
-                q = a[t][j] // p
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                if a[t][j]:
-                    c = j
-                    break
-            if c != t:
-                continue
-            bad = next((i for i in range(t + 1, n)
-                        if any(x % p for x in a[i][t + 1:m])), None)
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-        factors.append(a[t][t])
-    factors.extend([0] * (min(n, m) - len(factors)))
-    if not want_transforms:
-        return SnfResult(tuple(factors))
-    return SnfResult(tuple(factors), left=Matrix([row[m:] for row in a[:n]]),
-                     right=Matrix([row[:m] for row in a[n:]]))
-
-
-def invariant_factors(mat: Matrix, *, primes=None) -> tuple[int, ...]:
-    """Shorthand for the invariant-factor chain alone."""
-    return smith_normal_form(mat, primes=primes).invariant_factors
+    rest = mat.is_square() and abs(mat.det())
+    if not rest:
+        raise ValueError("primes= takes a square nonsingular matrix")
+    factors = [1] * mat.rows
+    for p in primes:
+        v = valuation(rest, p)
+        rest //= p ** v
+        exps = _local_exponents(mat.data, p, v)
+        if sum(exps) != v:
+            raise ArithmeticError(
+                f"the exponents {exps} of {p} do not sum to v_{p}(|det|) = {v}")
+        factors = [f * p ** e for f, e in zip(factors, exps)]
+    if rest != 1:
+        raise ArithmeticError(f"|det| has the factor {rest} outside the primes {primes}")
+    return SnfResult(tuple(factors))

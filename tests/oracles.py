@@ -1,9 +1,13 @@
-"""Partition combinatorics and small helpers that only the tests use.
+"""Partition combinatorics, an integer Smith normal form and small helpers
+that only the tests use.
 
 No command reaches these: the closed forms come from products over part
-sizes and q-series, not from enumerating partitions.  They stay here as
-independent checks on those routes.
+sizes and q-series, not from enumerating partitions, and the package's
+Smith normal form works one prime at a time on square nonsingular input.
+They stay here as independent checks on those routes.
 """
+
+from dataclasses import dataclass
 
 from cartaninv.linalg import Matrix
 from cartaninv.partitions import Multipartition, Partition, factorial_valuation, is_prime
@@ -158,3 +162,93 @@ def truncate(series: Series, order: int) -> Series:
 def max_value(multiset) -> int:
     """The largest entry of an :class:`InvariantMultiset`, 1 when empty."""
     return max(multiset.entries) if multiset.entries else 1
+
+
+@dataclass
+class IntegerSnf:
+    """Invariant factors d_1 | d_2 | ... plus optional unimodular transforms.
+
+    When transforms are requested, left * input * right equals the diagonal
+    matrix of the invariant factors and both transforms have determinant +-1.
+    """
+
+    invariant_factors: tuple[int, ...]
+    left: Matrix | None = None
+    right: Matrix | None = None
+
+
+def integer_snf(mat: Matrix, want_transforms: bool = False) -> IntegerSnf:
+    """Smith normal form over Z, for any shape, with optional transforms.
+
+    Pivots are chosen as the nonzero entry of minimal absolute value in the
+    remaining submatrix; rows and columns are reduced with floor division,
+    and before each pivot is finalized every remaining entry is forced to be
+    divisible by it, so the diagonal comes out as a divisibility chain
+    directly.  Entry growth is handled by arbitrary-precision ints.
+
+    For an n x m input A the working array is A itself, or with
+    ``want_transforms`` the augmented ``[[A, I_n], [I_m, 0]]``.  Row
+    operations act on whole rows, so columns m.. of the first n rows carry
+    ``left``; column operations walk every row, so rows n.. carry
+    ``right``.  Pivot search and reduction read only the n x m block of A.
+    """
+    if not mat.is_integral():
+        raise ValueError("integer_snf requires an integral matrix")
+    n, m = mat.rows, mat.cols
+    a = [list(row) for row in mat.data]
+    if want_transforms:
+        a = [row + [int(i == k) for k in range(n)] for i, row in enumerate(a)]
+        a += [[int(j == k) for k in range(m)] + [0] * n for j in range(m)]
+
+    factors = []
+    for t in range(min(n, m)):
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                v = a[i][j]
+                if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        r, c = best  # the row and column to swap into position t
+        while True:
+            if r != t:
+                a[t], a[r] = a[r], a[t]
+            if c != t:
+                for row in a:
+                    row[t], row[c] = row[c], row[t]
+            r = c = t
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            p = a[t][t]
+            for i in range(t + 1, n):
+                q = a[i][t] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                if a[i][t]:
+                    # remainder is smaller than the pivot; promote it
+                    r = i
+                    break
+            if r != t:
+                continue
+            for j in range(t + 1, m):
+                q = a[t][j] // p
+                if q:
+                    for row in a:
+                        row[j] -= q * row[t]
+                if a[t][j]:
+                    c = j
+                    break
+            if c != t:
+                continue
+            bad = next((i for i in range(t + 1, n)
+                        if any(x % p for x in a[i][t + 1:m])), None)
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+        factors.append(a[t][t])
+    factors.extend([0] * (min(n, m) - len(factors)))
+    if not want_transforms:
+        return IntegerSnf(tuple(factors))
+    return IntegerSnf(tuple(factors), left=Matrix([row[m:] for row in a[:n]]),
+                      right=Matrix([row[:m] for row in a[n:]]))

@@ -26,7 +26,7 @@ from cartaninv.invariants import (
     verify_snf_conjecture,
     verify_splitting,
 )
-from cartaninv.linalg import Matrix, direct_sum, invariant_factors
+from cartaninv.linalg import Matrix, direct_sum, smith_normal_form
 from cartaninv.partitions import (
     Partition,
     class_regular_partitions,
@@ -37,12 +37,12 @@ from cartaninv.partitions import (
 )
 from cartaninv.series import class_regular_series, count_multipartitions, partition_series
 from cartaninv.symfunc import TransitionMatrix, transition_p_to_m, transition_tensor
-from oracles import max_value, regular_split, repeat_parts
+from oracles import integer_snf, max_value, regular_split, repeat_parts
 
 
 def test_lie_cartan():
     assert lie_cartan_matrix(2) == Matrix([[2]])
-    assert invariant_factors(lie_cartan_matrix(4)) == (1, 1, 4)
+    assert integer_snf(lie_cartan_matrix(4)).invariant_factors == (1, 1, 4)
     for ell in range(2, 11):
         assert lie_cartan_matrix(ell).det() == ell
     with pytest.raises(ValueError):
@@ -61,7 +61,7 @@ def test_gram_matrix_values():
     for ell in (2, 3, 7):
         assert gram_matrix(ell, 1) == Matrix([[ell]])
         assert gram_matrix(ell, 0) == Matrix([[1]])
-    assert invariant_factors(gram_matrix(4, 2)) == (2, 32)
+    assert integer_snf(gram_matrix(4, 2)).invariant_factors == (2, 32)
 
 
 def test_gram_matrix_oracle_agrees():
@@ -116,7 +116,7 @@ def test_tensor_gram_matrix():
     for d in range(5):
         assert tensor_gram_matrix(2, d) == gram_matrix(2, d)
     assert tensor_gram_matrix(4, 1) == lie_cartan_matrix(4)
-    assert invariant_factors(tensor_gram_matrix(4, 2)) == (
+    assert integer_snf(tensor_gram_matrix(4, 2)).invariant_factors == (
         1, 1, 1, 1, 1, 2, 4, 4, 32)
 
 
@@ -369,10 +369,10 @@ def test_pure_functions_run_concurrently():
     from concurrent.futures import ThreadPoolExecutor
 
     jobs = [(ell, d) for ell in (2, 3, 4, 6, 9) for d in range(6)]
-    sequential = [invariant_factors(gram_matrix(ell, d)) for ell, d in jobs]
+    sequential = [integer_snf(gram_matrix(ell, d)).invariant_factors for ell, d in jobs]
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(
-            lambda job: invariant_factors(gram_matrix(*job)), jobs))
+            lambda job: integer_snf(gram_matrix(*job)).invariant_factors, jobs))
     assert threaded == sequential
 
 
@@ -381,8 +381,8 @@ def _direct_sum_chain(ell, d):
     # once per (ell-2)-multipartition of d - s, and its SNF
     blocks = [Matrix.diagonal([1] * count_multipartitions(ell - 2, d - s)).kron(gram_matrix(ell, s))
               for s in range(d + 1) if count_multipartitions(ell - 2, d - s)]
-    return invariant_factors(direct_sum(blocks),
-                             primes=[p for p, _ in prime_factorization(ell)])
+    return smith_normal_form(direct_sum(blocks),
+                             primes=[p for p, _ in prime_factorization(ell)]).invariant_factors
 
 
 def test_verify_reduction():
@@ -394,6 +394,23 @@ def test_verify_reduction():
     for d in range(5):
         assert verify_reduction(4, d).status == "verified"
     assert verify_reduction(2, 4).status == "verified"
+
+
+def test_seed_transforms_closed_form(monkeypatch):
+    # U * A * V = diag(1, ..., 1, ell) with integral U and V of determinant
+    # (-1)^ell, the determinants of the integer kernel's transforms up to 12
+    for ell in range(2, 41):
+        u, v = invariants._seed_transforms(ell)
+        assert u.is_integral() and v.is_integral()
+        assert u * lie_cartan_matrix(ell) * v == Matrix.diagonal([1] * (ell - 2) + [ell])
+        assert u.det() == v.det() == (-1) ** ell
+        if ell <= 12:
+            snf = integer_snf(lie_cartan_matrix(ell), want_transforms=True)
+            assert (snf.left.det(), snf.right.det()) == (u.det(), v.det()), ell
+    # unimodular transforms that do not diagonalize the seed refute the claim
+    identity = Matrix.diagonal([1, 1])
+    monkeypatch.setattr(invariants, "_seed_transforms", lambda ell: (identity, identity))
+    assert verify_reduction(3, 2).status == "refuted"
 
 
 def test_reduction_reference_is_the_direct_sum_chain():

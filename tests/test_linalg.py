@@ -5,15 +5,9 @@ from itertools import combinations_with_replacement
 import pytest
 
 from cartaninv.invariants import gram_matrix, graded_invariants, graded_to_snf
-from cartaninv.linalg import (
-    Matrix,
-    direct_sum,
-    invariant_factors,
-    smith_normal_form,
-    symmetric_power,
-)
+from cartaninv.linalg import Matrix, direct_sum, smith_normal_form, symmetric_power
 from cartaninv.partitions import valuation
-from oracles import snf_diagonal, transpose
+from oracles import integer_snf, snf_diagonal, transpose
 
 
 def tridiagonal(n):
@@ -104,26 +98,31 @@ def test_symmetric_power_determinant():
 
 
 def test_snf_examples():
-    assert invariant_factors(Matrix([[4, 0], [6, 16]])) == (2, 32)
-    assert invariant_factors(Matrix.diagonal([2, 3])) == (1, 6)
+    assert integer_snf(Matrix([[4, 0], [6, 16]])).invariant_factors == (2, 32)
+    assert integer_snf(Matrix.diagonal([2, 3])).invariant_factors == (1, 6)
     for ell in range(2, 9):
-        chain = invariant_factors(tridiagonal(ell - 1))
+        chain = integer_snf(tridiagonal(ell - 1)).invariant_factors
         assert chain == (1,) * (ell - 2) + (ell,)
-    with pytest.raises(ValueError):
-        smith_normal_form(Matrix([[Fraction(1, 2)]]))
+    for snf in (integer_snf, lambda m: smith_normal_form(m, primes=(2,))):
+        with pytest.raises(ValueError):
+            snf(Matrix([[Fraction(1, 2)]]))
 
 
 def test_snf_zero_and_rectangular():
-    assert invariant_factors(Matrix([[0, 0], [0, 0]])) == (0, 0)
-    assert invariant_factors(Matrix([[2, 4, 6]])) == (2,)
-    assert invariant_factors(Matrix([[2], [3]])) == (1,)
-    # the local route takes square nonsingular input and no transforms
-    for m, want in [(Matrix([[1, 2], [2, 4]]), False), (Matrix([[2, 4, 6]]), False),
-                    (Matrix([[2, 0], [0, 3]]), True)]:
+    assert integer_snf(Matrix([[0, 0], [0, 0]])).invariant_factors == (0, 0)
+    assert integer_snf(Matrix([[2, 4, 6]])).invariant_factors == (2,)
+    assert integer_snf(Matrix([[2], [3]])).invariant_factors == (1,)
+    # the package's route takes square nonsingular input, needs the primes
+    # and hands out no transforms
+    for m in (Matrix([[1, 2], [2, 4]]), Matrix([[2, 4, 6]])):
         with pytest.raises(ValueError, match="primes="):
-            smith_normal_form(m, want, primes=(2, 3))
+            smith_normal_form(m, primes=(2, 3))
+    for args, kwargs in [((Matrix([[2, 0], [0, 3]]), True), {"primes": (2, 3)}),
+                         ((Matrix([[2, 0], [0, 3]]),), {})]:
+        with pytest.raises(TypeError):
+            smith_normal_form(*args, **kwargs)
     with pytest.raises(ValueError, match="not prime"):
-        invariant_factors(Matrix.diagonal([2, 4]), primes=(4,))
+        smith_normal_form(Matrix.diagonal([2, 4]), primes=(4,))
 
 
 def test_snf_rank_deficient():
@@ -144,11 +143,11 @@ def test_snf_transpose_invariance():
         cols = rng.randint(1, 6)
         m = Matrix(
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-        assert invariant_factors(m) == invariant_factors(transpose(m))
+        assert integer_snf(m).invariant_factors == integer_snf(transpose(m)).invariant_factors
 
 
 def _check_snf(m):
-    res = smith_normal_form(m, want_transforms=True)
+    res = integer_snf(m, want_transforms=True)
     chain = res.invariant_factors
     # divisibility, nonnegativity, zeros last
     for a, b in zip(chain, chain[1:]):
@@ -188,20 +187,21 @@ def test_snf_permutation_invariance():
         rng.shuffle(rows)
         rng.shuffle(cols)
         permuted = Matrix([[m[(i, j)] for j in cols] for i in rows])
-        assert invariant_factors(m) == invariant_factors(permuted)
+        assert integer_snf(m).invariant_factors == integer_snf(permuted).invariant_factors
 
 
 def test_snf_large_entries():
     # arbitrary precision: no overflow anywhere
     big = 10 ** 30
     m = Matrix([[big, 1], [0, big]])
-    chain = invariant_factors(m)
+    chain = integer_snf(m).invariant_factors
     assert chain == (1, big * big)
 
 
 def test_snf_matches_sympy():
-    # an independent oracle; the transform-carrying array must give the same
-    # chain, including on non-square inputs where left and right differ in size
+    # two independent oracles; the integer kernel's transform-carrying array
+    # must give the same chain, including on non-square inputs where left and
+    # right differ in size
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors as sympy_factors
     from sympy.polys.domains import ZZ
@@ -218,20 +218,20 @@ def test_snf_matches_sympy():
             v = Matrix([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rank)])
             m = u * v
         expected = tuple(int(x) for x in sympy_factors(sympy.Matrix(m.data), domain=ZZ))
-        assert invariant_factors(m) == expected
-        assert smith_normal_form(m, want_transforms=True).invariant_factors == expected
+        assert integer_snf(m).invariant_factors == expected
+        assert integer_snf(m, want_transforms=True).invariant_factors == expected
         deficient += 0 in expected
     assert deficient >= 10
 
 
 def test_snf_pivot_equal_to_later_entry():
-    # an entry equal to the pivot leaves no remainder, so the integer route
+    # an entry equal to the pivot leaves no remainder, so the integer kernel
     # clears it at once rather than promoting it; the local route agrees, on
     # these and on gram_matrix(3, 9)
-    assert invariant_factors(Matrix([[2, 2], [0, 2]])) == (2, 2)
-    assert invariant_factors(Matrix([[4, 6], [2, 2]])) == (2, 2)
-    assert invariant_factors(Matrix([[2, 2], [0, 2]]), primes=(2,)) == (2, 2)
-    assert invariant_factors(gram_matrix(3, 9), primes=(3,)) == graded_to_snf(
+    assert integer_snf(Matrix([[2, 2], [0, 2]])).invariant_factors == (2, 2)
+    assert integer_snf(Matrix([[4, 6], [2, 2]])).invariant_factors == (2, 2)
+    assert smith_normal_form(Matrix([[2, 2], [0, 2]]), primes=(2,)).invariant_factors == (2, 2)
+    assert smith_normal_form(gram_matrix(3, 9), primes=(3,)).invariant_factors == graded_to_snf(
         [g.value for g in graded_invariants(3, 9)])
 
 
@@ -243,7 +243,8 @@ def _unimodular(rng, n, lower):
 
 def test_snf_of_scrambled_known_chain():
     # U * diag(chain) * V with unimodular U and V has exactly that chain, by
-    # both routes once the chain is over {2, 3, 5}; a last factor times p^20
+    # the integer kernel, and the local route once the chain is over
+    # {2, 3, 5}; a last factor times p^20
     # has an exponent past the local route's first precision 2 ceil(v/n) + 2
     rng = random.Random(11)
     big = 2 ** 64 + 13
@@ -259,10 +260,10 @@ def test_snf_of_scrambled_known_chain():
         u = _unimodular(rng, n, True) * _unimodular(rng, n, False)
         v = _unimodular(rng, n, False) * _unimodular(rng, n, True)
         m = u * Matrix.diagonal(chain) * v
-        assert invariant_factors(m) == tuple(chain), chain
-        assert smith_normal_form(m, want_transforms=True).invariant_factors == tuple(chain)
+        assert integer_snf(m).invariant_factors == tuple(chain), chain
+        assert integer_snf(m, want_transforms=True).invariant_factors == tuple(chain)
         if trial % 4:
-            assert invariant_factors(m, primes=(2, 3, 5)) == tuple(chain), chain
+            assert smith_normal_form(m, primes=(2, 3, 5)).invariant_factors == tuple(chain), chain
             local += 1
             exps = [[valuation(x, p) for x in chain] for p in (2, 3, 5)]
             restarts += any(e[-1] >= 2 * -(-sum(e) // n) + 2 for e in exps)
@@ -275,14 +276,14 @@ def test_snf_modular_route_checks_its_product(monkeypatch):
     # |det| = 28: the local route's exponents must sum to v_p(|det|) at each
     # given prime, and no other prime may be left in |det|
     m = Matrix([[4, 6, 1], [2, 2, 0], [1, 5, 9]])
-    assert invariant_factors(m, primes=(2, 7)) == (1, 1, 28)
+    assert smith_normal_form(m, primes=(2, 7)).invariant_factors == (1, 1, 28)
     with pytest.raises(ArithmeticError, match="outside the primes"):
-        invariant_factors(m, primes=(2,))
+        smith_normal_form(m, primes=(2,))
     true_det = Matrix._det_bareiss
     for scale, message in [(lambda d: 2 * d, "do not sum"), (lambda d: d // 2, "past v_2")]:
         monkeypatch.setattr(Matrix, "_det_bareiss", lambda self, f=scale: f(true_det(self)))
         with pytest.raises(ArithmeticError, match=message):
-            invariant_factors(m, primes=(2, 7))
+            smith_normal_form(m, primes=(2, 7))
 
 
 def _finest_cut(rows):
@@ -343,11 +344,11 @@ def test_block_determinant_matches_oracles():
 
 def test_snf_modulus_comes_from_public_det(monkeypatch):
     # the local route reads |det| through Matrix.det, which traces it; the
-    # integer route reads no determinant
+    # integer kernel reads no determinant
     m = Matrix([[4, 6, 1], [2, 2, 0], [1, 5, 9]])
     true_det = Matrix.det
     calls = []
     monkeypatch.setattr(Matrix, "det", lambda self: calls.append(self) or true_det(self))
-    assert invariant_factors(m, primes=(2, 7)) == (1, 1, abs(true_det(m)))
-    assert invariant_factors(m) == (1, 1, 28)
+    assert smith_normal_form(m, primes=(2, 7)).invariant_factors == (1, 1, abs(true_det(m)))
+    assert integer_snf(m).invariant_factors == (1, 1, 28)
     assert calls == [m]
