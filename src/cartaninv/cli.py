@@ -18,7 +18,7 @@ from . import invariants as inv
 from . import series as ser
 from .invariants import SizeGuardError
 from .linalg import smith_normal_form
-from .partitions import is_prime, prime_support
+from .partitions import factorial_valuation, is_prime
 from .symfunc import transition_p_to_m
 
 EXIT_OK = 0
@@ -333,10 +333,10 @@ def _matrix_payload(args) -> tuple[dict, list[str]]:
         m = transition_p_to_m(args.d).matrix
     params = {"kind": kind, "ell": args.ell, "d": args.d, "snf": bool(args.snf)}
     if args.snf:
-        # det M_pm is the product of its diagonal, the m_i(lambda)!
-        primes = ([p for p in range(2, args.d + 1) if is_prime(p)] if kind == "M_pm"
-                  else prime_support(args.ell))
-        chain = smith_normal_form(m, primes=primes).invariant_factors
+        # d! * M_pm^-1 is integral, and det M_pm has only primes p <= d
+        bounds = ({p: factorial_valuation(args.d, p) for p in range(2, args.d + 1) if is_prime(p)}
+                  if kind == "M_pm" else inv._exponent_bounds(args.ell, args.d))
+        chain = smith_normal_form(m, bounds=bounds).invariant_factors
         lines = [", ".join(str(x) for x in chain)]
         payload = {"command": "matrix", "params": params,
                    "snf": [str(x) for x in chain]}

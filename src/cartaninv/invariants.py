@@ -26,7 +26,6 @@ from .partitions import (
     is_prime,
     partitions,
     prime_factorization,
-    prime_support,
     total_length,
     valuation,
 )
@@ -458,6 +457,20 @@ class VerificationReport:
         return self.status in ("verified", "unproven-match")
 
 
+def _exponent_bounds(ell: int, d: int) -> dict[int, int]:
+    """{p: r*d + v_p(d!) for p^r exactly dividing ell}, the ``bounds`` of
+    :func:`smith_normal_form` for a degree-d X = T^-1 * B * T of seed [ell]
+    or the Lie Cartan matrix, since ell^d * d! annihilates coker X.
+    d! * T^-1 is integral: prod m_i(lam)! * m_lam is an integer combination
+    of power sums (Macdonald I.6, Moebius inversion on set partitions), and
+    a tensor T is Kronecker products of one-color ones of total degree d.
+    ell^d * B^-1 is integral: both seeds have determinant ell, and the block
+    of lam is symmetric powers of the seed of total degree length(lam) <= d.
+    It equals the closed-form invariant at lam = (1^d) without using it.
+    """
+    return {p: r * d + _factorial_valuation(d, p) for p, r in prime_factorization(ell)}
+
+
 def verify_snf_conjecture(ell: int, d: int) -> VerificationReport:
     """Compare the computed invariant factors with the closed-form chain.
 
@@ -468,7 +481,7 @@ def verify_snf_conjecture(ell: int, d: int) -> VerificationReport:
         raise ValueError("ell must be >= 2")
     factorization = prime_factorization(ell)
     x = gram_matrix(ell, d)
-    computed = smith_normal_form(x, primes=[p for p, _ in factorization]).invariant_factors
+    computed = smith_normal_form(x, bounds=_exponent_bounds(ell, d)).invariant_factors
     predicted = graded_to_snf([g.value for g in graded_invariants(ell, d)])
     theorem = len(factorization) == 1 and factorization[0][1] <= factorization[0][0]
     match = computed == predicted
@@ -498,9 +511,9 @@ def verify_splitting(a: int, b: int, d: int) -> VerificationReport:
     ok = xab == xa * xb
     witness: dict = {"matrix_identity": ok}
     if gcd(a, b) == 1:
-        sa = smith_normal_form(xa, primes=prime_support(a)).invariant_factors
-        sb = smith_normal_form(xb, primes=prime_support(b)).invariant_factors
-        sab = smith_normal_form(xab, primes=prime_support(a * b)).invariant_factors
+        sa = smith_normal_form(xa, bounds=_exponent_bounds(a, d)).invariant_factors
+        sb = smith_normal_form(xb, bounds=_exponent_bounds(b, d)).invariant_factors
+        sab = smith_normal_form(xab, bounds=_exponent_bounds(a * b, d)).invariant_factors
         product = tuple(x * y for x, y in zip(sa, sb))
         witness["snf_product"] = product
         witness["snf_computed"] = sab
@@ -545,14 +558,14 @@ def verify_reduction(ell: int, d: int) -> VerificationReport:
     union of its blocks', so the reference chain is merged per prime
     (:func:`graded_to_snf`) from the small blocks' invariant factors.
     """
-    primes = prime_support(ell)
+    bounds = _exponent_bounds(ell, d)  # also bounds each gram_matrix(ell, s <= d)
     xa = tensor_gram_matrix(ell, d)
-    computed = smith_normal_form(xa, primes=primes).invariant_factors
+    computed = smith_normal_form(xa, bounds=bounds).invariant_factors
     mults = multipartition_series(ell - 2, d).coeffs
     divisors: dict[int, int] = {}
     for s in range(d + 1):
         if mults[d - s]:
-            for f in smith_normal_form(gram_matrix(ell, s), primes=primes).invariant_factors:
+            for f in smith_normal_form(gram_matrix(ell, s), bounds=bounds).invariant_factors:
                 _add_entry(divisors, f, mults[d - s])
     reference = graded_to_snf(divisors)
     u, v = _seed_transforms(ell)

@@ -16,13 +16,11 @@ from .partitions import valuation
 
 def _norm(x):
     """Collapse integral Fractions to plain ints."""
-    if type(x) is int:
+    if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
-        return x
-    if isinstance(x, int):
         return x
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
@@ -260,76 +258,69 @@ class SnfResult:
     invariant_factors: tuple[int, ...]
 
 
-def _local_exponents(rows, p: int, v: int) -> list[int]:
+def _local_exponents(rows, p: int, k: int) -> list[int]:
     """Exponents of the prime ``p`` in the invariant factors of a nonsingular
-    square matrix with v_p(|det|) = ``v``, ascending, by elimination over
-    Z/p^k.
+    square matrix, ascending, by one elimination over Z/p^k.
 
     Any entry not divisible by p is a unit pivot: its row is scaled by the
     inverse and the rest becomes the Schur complement, so the pivot records
     the current shift.  A block with no unit is p times a block known to
-    one digit less, so it is divided by p and the shift grows by one.  The
-    shift plus the precision stays k; a block still left once the
-    precision is used up has every factor divisible by p^k, so k is
-    doubled and the elimination restarts.  Since the exponents sum to v,
-    k = v + 1 never runs out on a nonsingular input.
+    one digit less, so it is divided by p and the shift grows by one.  A
+    block still left once the precision is used up has every factor
+    divisible by p^k, an ``ArithmeticError``.
     """
-    k = min(v + 1, 2 * -(-v // len(rows)) + 2)
-    while True:
-        q, shift, exps = p ** k, 0, []
-        a = [[x % q for x in row] for row in rows]
-        while a and q > 1:
-            unit = next(((i, j) for i, row in enumerate(a)
-                         for j, x in enumerate(row) if x % p), None)
-            if unit is None:
-                a = [[x // p for x in row] for row in a]
-                q //= p
-                shift += 1
-                continue
-            i, j = unit
-            prow = a.pop(i)
-            inv = pow(prow.pop(j), -1, q)
-            prow = [x * inv % q for x in prow]
-            exps.append(shift)
-            schur = []
-            for row in a:
-                c = row.pop(j)
-                schur.append([(x - c * y) % q for x, y in zip(row, prow)] if c else row)
-            a = schur
-        if not a:
-            return exps
-        if k > v:
-            raise ArithmeticError(
-                f"{len(a)} invariant factors are divisible by {p}^{k}, "
-                f"past v_{p}(|det|) = {v}")
-        k = min(2 * k, v + 1)
+    q, shift, exps = p ** k, 0, []
+    a = [[x % q for x in row] for row in rows]
+    while a and q > 1:
+        unit = next(((i, j) for i, row in enumerate(a)
+                     for j, x in enumerate(row) if x % p), None)
+        if unit is None:
+            a = [[x // p for x in row] for row in a]
+            q //= p
+            shift += 1
+            continue
+        i, j = unit
+        prow = a.pop(i)
+        inv = pow(prow.pop(j), -1, q)
+        prow = [x * inv % q for x in prow]
+        exps.append(shift)
+        schur = []
+        for row in a:
+            c = row.pop(j)
+            schur.append([(x - c * y) % q for x, y in zip(row, prow)] if c else row)
+        a = schur
+    if a:
+        raise ArithmeticError(f"{len(a)} invariant factors are divisible by {p}^{k}")
+    return exps
 
 
-def smith_normal_form(mat: Matrix, *, primes) -> SnfResult:
-    """Smith normal form of a square nonsingular integral matrix, one prime
-    at a time.
+def smith_normal_form(mat: Matrix, *, bounds) -> SnfResult:
+    """Smith normal form of a square nonsingular integral matrix, per prime.
 
-    ``primes`` is the prime support of |det|.  D = |det| comes from
-    :meth:`Matrix.det`; for each p the exponents of p in the factors come
-    from elimination over Z/p^k (:func:`_local_exponents`) and must sum to
-    v_p(D), and D must have no prime outside ``primes``, else
-    ``ArithmeticError``.  The factors are the positionwise products of the
-    per-prime chains.  A rectangular or singular input is a ``ValueError``.
+    ``bounds`` maps each prime p of D = |det| (from :meth:`Matrix.det`) to
+    a non-negative int e no less than p's exponent in the largest factor.
+    One elimination over Z/p^k, k = min(v_p(D), e) + 1, gives the exponents
+    of p (:func:`_local_exponents`), which must sum to v_p(D); D must have
+    no prime outside ``bounds``.  A failed check, or a bound set too low, is
+    an ``ArithmeticError``; a rectangular or singular input, or a bad bound,
+    a ``ValueError``.  The factors are the per-prime chains' products.
     """
     if not mat.is_integral():
         raise ValueError("smith_normal_form requires an integral matrix")
     rest = mat.is_square() and abs(mat.det())
     if not rest:
-        raise ValueError("primes= takes a square nonsingular matrix")
+        raise ValueError("bounds= takes a square nonsingular matrix")
     factors = [1] * mat.rows
-    for p in primes:
+    for p, e in bounds.items():
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"the bound {e!r} at {p} is not a non-negative int")
         v = valuation(rest, p)
         rest //= p ** v
-        exps = _local_exponents(mat.data, p, v)
+        exps = _local_exponents(mat.data, p, min(v, e) + 1)
         if sum(exps) != v:
             raise ArithmeticError(
                 f"the exponents {exps} of {p} do not sum to v_{p}(|det|) = {v}")
-        factors = [f * p ** e for f, e in zip(factors, exps)]
+        factors = [f * p ** x for f, x in zip(factors, exps)]
     if rest != 1:
-        raise ArithmeticError(f"|det| has the factor {rest} outside the primes {primes}")
+        raise ArithmeticError(f"|det| has the factor {rest} outside the primes {[*bounds]}")
     return SnfResult(tuple(factors))

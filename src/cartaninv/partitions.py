@@ -268,11 +268,6 @@ def prime_factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def prime_support(n: int) -> list[int]:
-    """The primes dividing ``n >= 2``, ascending."""
-    return [p for p, _ in prime_factorization(n)]
-
-
 def total_length(d: int) -> int:
     """Sum of the number of parts over all partitions of ``d``."""
     return sum(lam.length for lam in partitions(d))

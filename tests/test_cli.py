@@ -212,6 +212,11 @@ def test_matrix_command(capsys):
     code, out, _ = run(capsys, "matrix", "X_A", "--ell", "4", "--d", "2",
                        "--snf")
     assert out.strip() == "1, 1, 1, 1, 1, 2, 4, 4, 32"
+    # degrees 0 and 1: M_pm has no prime p <= d to bound, X_ell the bound 0
+    for argv in ("matrix M_pm --d 0 --snf", "matrix M_pm --d 1 --snf",
+                 "matrix X_ell --ell 4 --d 0 --snf"):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0 and out == "1\n", argv
     code, out, _ = run(capsys, "matrix", "B_ell", "--ell", "4", "--d", "2",
                        "--format", "json")
     payload = json.loads(out)

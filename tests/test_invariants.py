@@ -31,9 +31,11 @@ from cartaninv.partitions import (
     Partition,
     class_regular_partitions,
     factorial_valuation,
+    is_prime,
     partitions,
     prime_factorization,
     total_length,
+    valuation,
 )
 from cartaninv.series import class_regular_series, count_multipartitions, partition_series
 from cartaninv.symfunc import TransitionMatrix, transition_p_to_m, transition_tensor
@@ -352,6 +354,38 @@ def test_verify_snf_conjecture_past_the_cli_grid():
             assert (report.status == "verified") == theorem, (ell, d)
 
 
+def _top_exponents(m, primes):
+    # the exponents of the primes in the largest invariant factor, computed
+    # at the bound v_p(|det|), which no exponent can pass
+    det = abs(m.det())
+    snf = smith_normal_form(m, bounds={p: valuation(det, p) for p in primes})
+    return {p: valuation(snf.invariant_factors[-1], p) for p in primes}
+
+
+def test_exponent_bounds_hold_and_are_attained():
+    # ell^d * d! annihilates the cokernel of the one-color and tensor
+    # matrices, d! that of M_pm, and on these grids their p-parts are the
+    # largest invariant factor's: every exponent is at most its bound, which
+    # is attained
+    for ell in range(2, 17):
+        for d in range(11):
+            bounds = invariants._exponent_bounds(ell, d)
+            assert _top_exponents(gram_matrix(ell, d), bounds) == bounds, (ell, d)
+    for d in range(13):
+        bounds = {p: factorial_valuation(d, p) for p in range(2, d + 1) if is_prime(p)}
+        assert _top_exponents(transition_p_to_m(d).matrix, bounds) == bounds, d
+    for ell in (3, 4, 5, 6, 8):
+        for w in range(4):
+            bounds = invariants._exponent_bounds(ell, w)
+            assert _top_exponents(tensor_gram_matrix(ell, w), bounds) == bounds, (ell, w)
+    # a bound one short of the largest exponent fails rather than returning
+    # a shorter chain
+    assert invariants._exponent_bounds(4, 6) == {2: 16}
+    assert smith_normal_form(gram_matrix(4, 6), bounds={2: 16}).invariant_factors[-1] == 2 ** 16
+    with pytest.raises(ArithmeticError, match="divisible by"):
+        smith_normal_form(gram_matrix(4, 6), bounds={2: 15})
+
+
 def test_verify_splitting():
     r = verify_splitting(2, 3, 2)
     assert r.status == "verified"
@@ -382,7 +416,7 @@ def _direct_sum_chain(ell, d):
     blocks = [Matrix.diagonal([1] * count_multipartitions(ell - 2, d - s)).kron(gram_matrix(ell, s))
               for s in range(d + 1) if count_multipartitions(ell - 2, d - s)]
     return smith_normal_form(direct_sum(blocks),
-                             primes=[p for p, _ in prime_factorization(ell)]).invariant_factors
+                             bounds=invariants._exponent_bounds(ell, d)).invariant_factors
 
 
 def test_verify_reduction():

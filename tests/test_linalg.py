@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from cartaninv import linalg
 from cartaninv.invariants import gram_matrix, graded_invariants, graded_to_snf
 from cartaninv.linalg import Matrix, direct_sum, smith_normal_form, symmetric_power
 from cartaninv.partitions import valuation
@@ -103,7 +104,7 @@ def test_snf_examples():
     for ell in range(2, 9):
         chain = integer_snf(tridiagonal(ell - 1)).invariant_factors
         assert chain == (1,) * (ell - 2) + (ell,)
-    for snf in (integer_snf, lambda m: smith_normal_form(m, primes=(2,))):
+    for snf in (integer_snf, lambda m: smith_normal_form(m, bounds={2: 1})):
         with pytest.raises(ValueError):
             snf(Matrix([[Fraction(1, 2)]]))
 
@@ -112,17 +113,23 @@ def test_snf_zero_and_rectangular():
     assert integer_snf(Matrix([[0, 0], [0, 0]])).invariant_factors == (0, 0)
     assert integer_snf(Matrix([[2, 4, 6]])).invariant_factors == (2,)
     assert integer_snf(Matrix([[2], [3]])).invariant_factors == (1,)
-    # the package's route takes square nonsingular input, needs the primes
+    # the package's route takes square nonsingular input, needs the bounds
     # and hands out no transforms
     for m in (Matrix([[1, 2], [2, 4]]), Matrix([[2, 4, 6]])):
-        with pytest.raises(ValueError, match="primes="):
-            smith_normal_form(m, primes=(2, 3))
-    for args, kwargs in [((Matrix([[2, 0], [0, 3]]), True), {"primes": (2, 3)}),
-                         ((Matrix([[2, 0], [0, 3]]),), {})]:
+        with pytest.raises(ValueError, match="bounds="):
+            smith_normal_form(m, bounds={2: 1, 3: 1})
+    m = Matrix([[2, 0], [0, 3]])
+    for args, kwargs in [((m, True), {"bounds": {2: 1, 3: 1}}), ((m,), {}),
+                         ((m,), {"primes": (2, 3)})]:
         with pytest.raises(TypeError):
             smith_normal_form(*args, **kwargs)
     with pytest.raises(ValueError, match="not prime"):
-        smith_normal_form(Matrix.diagonal([2, 4]), primes=(4,))
+        smith_normal_form(Matrix.diagonal([2, 4]), bounds={4: 1})
+    # a negative bound would make p ** k a float; no bound but a
+    # non-negative int is taken
+    for bound in (-1, -3, 1.0, 2.5, None, "1"):
+        with pytest.raises(ValueError, match="not a non-negative int"):
+            smith_normal_form(m, bounds={2: 1, 3: bound})
 
 
 def test_snf_rank_deficient():
@@ -230,8 +237,8 @@ def test_snf_pivot_equal_to_later_entry():
     # these and on gram_matrix(3, 9)
     assert integer_snf(Matrix([[2, 2], [0, 2]])).invariant_factors == (2, 2)
     assert integer_snf(Matrix([[4, 6], [2, 2]])).invariant_factors == (2, 2)
-    assert smith_normal_form(Matrix([[2, 2], [0, 2]]), primes=(2,)).invariant_factors == (2, 2)
-    assert smith_normal_form(gram_matrix(3, 9), primes=(3,)).invariant_factors == graded_to_snf(
+    assert smith_normal_form(Matrix([[2, 2], [0, 2]]), bounds={2: 1}).invariant_factors == (2, 2)
+    assert smith_normal_form(gram_matrix(3, 9), bounds={3: 13}).invariant_factors == graded_to_snf(
         [g.value for g in graded_invariants(3, 9)])
 
 
@@ -241,14 +248,20 @@ def _unimodular(rng, n, lower):
                     for j in range(n)] for i in range(n)])
 
 
-def test_snf_of_scrambled_known_chain():
+def test_snf_of_scrambled_known_chain(monkeypatch):
     # U * diag(chain) * V with unimodular U and V has exactly that chain, by
     # the integer kernel, and the local route once the chain is over
-    # {2, 3, 5}; a last factor times p^20
-    # has an exponent past the local route's first precision 2 ceil(v/n) + 2
+    # {2, 3, 5}, in one pass per prime at precision k = the last factor's
+    # exponent + 1, while a bound one short of a positive exponent is an
+    # ArithmeticError; a last factor times p^20 has an exponent far past its
+    # share of v_p(|det|)
+    passes = []
+    local_exponents = linalg._local_exponents
+    monkeypatch.setattr(linalg, "_local_exponents",
+                        lambda rows, p, k: passes.append((p, k)) or local_exponents(rows, p, k))
     rng = random.Random(11)
     big = 2 ** 64 + 13
-    huge = repeated = local = restarts = 0
+    huge = repeated = local = short = 0
     for trial in range(40):
         n = rng.randint(1, 7)
         chain, d = [], 1
@@ -263,27 +276,36 @@ def test_snf_of_scrambled_known_chain():
         assert integer_snf(m).invariant_factors == tuple(chain), chain
         assert integer_snf(m, want_transforms=True).invariant_factors == tuple(chain)
         if trial % 4:
-            assert smith_normal_form(m, primes=(2, 3, 5)).invariant_factors == tuple(chain), chain
+            bounds = {p: valuation(chain[-1], p) for p in (2, 3, 5)}
+            passes.clear()
+            assert smith_normal_form(m, bounds=bounds).invariant_factors == tuple(chain), chain
+            assert passes == [(p, e + 1) for p, e in bounds.items()]
+            loose = {p: e + 7 for p, e in bounds.items()}
+            assert smith_normal_form(m, bounds=loose).invariant_factors == tuple(chain), chain
             local += 1
-            exps = [[valuation(x, p) for x in chain] for p in (2, 3, 5)]
-            restarts += any(e[-1] >= 2 * -(-sum(e) // n) + 2 for e in exps)
+            for p, e in bounds.items():
+                if e:
+                    with pytest.raises(ArithmeticError, match="divisible by"):
+                        smith_normal_form(m, bounds={**bounds, p: e - 1})
+                    short += e >= 20
         huge += chain[-1] > big
         repeated += len(set(chain)) < n
-    assert huge >= 4 and repeated >= 10 and local == 30 and restarts >= 5
+    assert huge >= 4 and repeated >= 10 and local == 30 and short >= 8
 
 
 def test_snf_modular_route_checks_its_product(monkeypatch):
     # |det| = 28: the local route's exponents must sum to v_p(|det|) at each
     # given prime, and no other prime may be left in |det|
     m = Matrix([[4, 6, 1], [2, 2, 0], [1, 5, 9]])
-    assert smith_normal_form(m, primes=(2, 7)).invariant_factors == (1, 1, 28)
+    assert smith_normal_form(m, bounds={2: 2, 7: 1}).invariant_factors == (1, 1, 28)
     with pytest.raises(ArithmeticError, match="outside the primes"):
-        smith_normal_form(m, primes=(2,))
+        smith_normal_form(m, bounds={2: 2})
     true_det = Matrix._det_bareiss
-    for scale, message in [(lambda d: 2 * d, "do not sum"), (lambda d: d // 2, "past v_2")]:
+    for scale, message in [(lambda d: 2 * d, "do not sum"),
+                           (lambda d: d // 2, r"divisible by 2\^2")]:
         monkeypatch.setattr(Matrix, "_det_bareiss", lambda self, f=scale: f(true_det(self)))
         with pytest.raises(ArithmeticError, match=message):
-            smith_normal_form(m, primes=(2, 7))
+            smith_normal_form(m, bounds={2: 2, 7: 1})
 
 
 def _finest_cut(rows):
@@ -349,6 +371,6 @@ def test_snf_modulus_comes_from_public_det(monkeypatch):
     true_det = Matrix.det
     calls = []
     monkeypatch.setattr(Matrix, "det", lambda self: calls.append(self) or true_det(self))
-    assert smith_normal_form(m, primes=(2, 7)).invariant_factors == (1, 1, abs(true_det(m)))
+    assert smith_normal_form(m, bounds={2: 2, 7: 1}).invariant_factors == (1, 1, abs(true_det(m)))
     assert integer_snf(m).invariant_factors == (1, 1, 28)
     assert calls == [m]
