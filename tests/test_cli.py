@@ -168,6 +168,12 @@ STDOUT_DIGESTS = {
         "f9c23bca6fa99417b8a3ad4df1f6e6486e9d1b2b949ef5c86aee2aeb6ae82cf6",
     "invariants --ell 6 --weight 4 --format json":
         "35e5e5e3f99f8a247bbdebf9335961577f910f5da591f4629ccf3e8631637901",
+    "matrix X_A --ell 4 --d 3 --format json":
+        "2c6dc3e526c41f412bedcc1e32cccf45a23bb68a9ba7afb9bb0a07c78f79369b",
+    "series --name P_ell --ell 3 --order 40 --format json":
+        "bf59b0196253d6226e6f560c7c6a681d0bc781b3743eeb18f7e5b5ff8e414731",
+    "verify all --format json":
+        "1ddccc105cc8bf6415c4eeb1ec6d9d9719cf9e1cf0665ba412d988fb7f90f928",
 }
 
 
