@@ -4,13 +4,13 @@ series, run the verification suites, and regenerate the golden files.
 Exit codes: 0 on success and for verified/unproven-match runs, 1 for usage
 or size-guard errors, 2 when a theorem-range claim fails, 3 when only
 conjecture-range comparisons mismatch.  All big integers are rendered as
-decimal strings in json mode.
+decimal strings in json mode.  Each command renders only the format it
+prints: the table lines, or the json payload.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -122,7 +122,7 @@ def _full_breakdown(ell: int, n: int, d: int) -> str:
     return "+".join(terms) + f"={total}"
 
 
-def _invariants_payload(args) -> tuple[dict, list[str]]:
+def _invariants_output(args, as_json: bool):
     if (args.n is None) == (args.weight is None):
         raise _UsageError("provide exactly one of --n or --weight")
     if args.ell < 2:
@@ -130,23 +130,26 @@ def _invariants_payload(args) -> tuple[dict, list[str]]:
     if args.n is not None:
         params = {"ell": args.ell, "n": args.n}
         ms = inv.full_invariants(args.ell, args.n)
-        column = {d: _full_breakdown(args.ell, args.n, d) for d in ms.by_degree}
     else:
         params = {"ell": args.ell, "weight": args.weight}
         ms = inv.block_invariants(args.ell, args.weight)
+    layers = sorted(ms.by_degree.items())
+    if as_json:
+        entries = [{"value": str(v), "multiplicity": layer[v], "degree": d}
+                   for d, layer in layers for v in sorted(layer)]
+        return {"command": "invariants", "params": params, "entries": entries,
+                "report": None}
+    if args.n is not None:
+        column = {d: _full_breakdown(args.ell, args.n, d) for d in ms.by_degree}
+    else:
         mults = ser.multipartition_series(args.ell - 2, args.weight).coeffs
         column = {d: mults[args.weight - d] for d in ms.by_degree}
     lines = [" ".join(f"{k}={v}" for k, v in params.items()) + f" total={ms.total()}",
              "degree | invariants | multiplicity"]
-    entries = []
-    for d, layer in sorted(ms.by_degree.items()):
-        values = sorted(layer)
-        lines.append(f"{d} | {', '.join(map(str, values))} | {column[d]}")
-        entries += [{"value": str(v), "multiplicity": layer[v], "degree": d} for v in values]
+    lines += [f"{d} | {', '.join(map(str, sorted(layer)))} | {column[d]}"
+              for d, layer in layers]
     lines.append("total multiset: " + " ".join(f"{v}^{m}" for v, m in ms.sorted_items()))
-    payload = {"command": "invariants", "params": params, "entries": entries,
-               "report": None}
-    return payload, lines
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +255,8 @@ def _suite_calls(suite: str, args) -> list[tuple]:
     return [(ell, n) for ell in (4, 6, 12) for n in range(25)]
 
 
-def _verify_payload(args) -> tuple[dict, list[str], int]:
+def _verify_output(args, as_json: bool):
+    """The json payload or the table lines, and the exit code."""
     _check_suite_flags(args)
     order = ser.DEFAULT_ORDER if args.order is None else args.order
     names = ([s for s in _VERIFIERS if s != "all"] if args.suite == "all"
@@ -264,29 +268,31 @@ def _verify_payload(args) -> tuple[dict, list[str], int]:
             continue
         verify = getattr(inv, _VERIFIERS[name][0])
         reports.extend(verify(*call) for call in _suite_calls(name, args))
-    lines = []
     counts = {"verified": 0, "refuted": 0, "unproven-match": 0,
               "unproven-mismatch": 0}
     for r in reports:
         counts[r.status] += 1
+    code = _exit_code(counts)
+    if as_json:
+        return {
+            "command": "verify",
+            "params": {"suite": args.suite},
+            "entries": [],
+            "report": [
+                {"claim": r.claim, "status": r.status,
+                 "params": _stringify(r.params), "witness": _stringify(r.witness)}
+                for r in reports
+            ],
+        }, code
+    lines = []
+    for r in reports:
         params = " ".join(f"{k}={v}" for k, v in r.params.items())
         lines.append(f"[{r.status}] {r.claim} {params}")
         if r.status in ("refuted", "unproven-mismatch"):
             lines.append(f"    witness: {_stringify(r.witness)}")
     summary = " ".join(f"{k}={v}" for k, v in counts.items() if v)
     lines.append(f"summary: {summary or 'no checks ran'}")
-    code = _exit_code(counts)
-    payload = {
-        "command": "verify",
-        "params": {"suite": args.suite},
-        "entries": [],
-        "report": [
-            {"claim": r.claim, "status": r.status,
-             "params": _stringify(r.params), "witness": _stringify(r.witness)}
-            for r in reports
-        ],
-    }
-    return payload, lines, code
+    return lines, code
 
 
 def _exit_code(counts: dict) -> int:
@@ -315,7 +321,7 @@ def _stringify(obj):
 # matrix and series commands
 
 
-def _matrix_payload(args) -> tuple[dict, list[str]]:
+def _matrix_output(args, as_json: bool):
     kind = args.kind
     if kind in ("X_ell", "X_A", "B_ell") and args.ell is None:
         raise _UsageError(f"matrix {kind} requires --ell")
@@ -337,27 +343,26 @@ def _matrix_payload(args) -> tuple[dict, list[str]]:
         bounds = ({p: factorial_valuation(args.d, p) for p in range(2, args.d + 1) if is_prime(p)}
                   if kind == "M_pm" else inv._exponent_bounds(args.ell, args.d))
         chain = smith_normal_form(m, bounds=bounds).invariant_factors
-        lines = [", ".join(str(x) for x in chain)]
-        payload = {"command": "matrix", "params": params,
-                   "snf": [str(x) for x in chain]}
-    else:
-        lines = [str([list(row) for row in m.data])]
-        payload = {"command": "matrix", "params": params,
-                   "matrix": [[str(x) for x in row] for row in m.data]}
-    return payload, lines
+        if as_json:
+            return {"command": "matrix", "params": params, "snf": [str(x) for x in chain]}
+        return [", ".join(str(x) for x in chain)]
+    if as_json:
+        return {"command": "matrix", "params": params,
+                "matrix": [[str(x) for x in row] for row in m.data]}
+    return [str([list(row) for row in m.data])]
 
 
-def _series_payload(args) -> tuple[dict, list[str]]:
+def _series_output(args, as_json: bool):
     try:
         s = ser.named_series(args.name, order=args.order, ell=args.ell, k=args.k)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    params = {"name": args.name, "ell": args.ell, "k": args.k,
-              "order": args.order}
-    lines = [" ".join(str(c) for c in s.coeffs)]
-    payload = {"command": "series", "params": params,
-               "coefficients": [str(c) for c in s.coeffs]}
-    return payload, lines
+    if as_json:
+        params = {"name": args.name, "ell": args.ell, "k": args.k,
+                  "order": args.order}
+        return {"command": "series", "params": params,
+                "coefficients": [str(c) for c in s.coeffs]}
+    return [" ".join(str(c) for c in s.coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +380,7 @@ def golden_text(kind: str, ell: int, param: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _seed_tables(args) -> list[str]:
+def _seed_tables_output(args, as_json: bool):
     os.makedirs(args.dir, exist_ok=True)
     written = []
     for filename, (kind, ell, param) in GOLDEN_FILES.items():
@@ -383,38 +388,44 @@ def _seed_tables(args) -> list[str]:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(golden_text(kind, ell, param))
         written.append(path)
-    return written
+    if as_json:
+        return {"command": "seed-tables", "params": {"dir": args.dir}, "written": written}
+    return [f"wrote {p}" for p in written]
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+# command -> the function that runs it and returns its json payload, or
+# its table lines, as the format asks
+_COMMANDS = {
+    "invariants": _invariants_output,
+    "matrix": _matrix_output,
+    "series": _series_output,
+    "seed-tables": _seed_tables_output,
+}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _check_args(args)
+        as_json = args.format == "json"
         code = EXIT_OK
-        if args.command == "invariants":
-            payload, lines = _invariants_payload(args)
-        elif args.command == "verify":
-            payload, lines, code = _verify_payload(args)
-        elif args.command == "matrix":
-            payload, lines = _matrix_payload(args)
-        elif args.command == "series":
-            payload, lines = _series_payload(args)
+        if args.command == "verify":
+            out, code = _verify_output(args, as_json)
         else:
-            written = _seed_tables(args)
-            payload = {"command": "seed-tables",
-                       "params": {"dir": args.dir}, "written": written}
-            lines = [f"wrote {p}" for p in written]
+            out = _COMMANDS[args.command](args, as_json)
     except (_UsageError, ValueError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+    if as_json:
+        import json
+
+        print(json.dumps(out, sort_keys=True))
     else:
-        for line in lines:
+        for line in out:
             print(line)
     return code
 

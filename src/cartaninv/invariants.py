@@ -11,7 +11,7 @@ version with the same invariant factors as a weight-d block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from math import factorial, gcd, prod
@@ -223,13 +223,10 @@ def gram_matrix_oracle(ell: int, d: int) -> Matrix:
 # graded invariant factors and KOR numbers
 
 
-@dataclass(frozen=True)
-class GradedInvariant:
+class GradedInvariant(namedtuple("GradedInvariant", "value degree source")):
     """One closed-form invariant factor, remembering where it came from."""
 
-    value: int
-    degree: int
-    source: Partition
+    __slots__ = ()
 
 
 def graded_invariants(ell: int, d: int) -> list[GradedInvariant]:
@@ -293,12 +290,15 @@ def kor_number(mu: Partition, ell: int) -> int:
 # invariant multisets
 
 
-@dataclass
 class InvariantMultiset:
     """Multiset of positive integers with optional per-degree bookkeeping."""
 
-    entries: dict[int, int]
-    by_degree: dict[int, dict[int, int]] | None = None
+    __slots__ = ("entries", "by_degree")
+
+    def __init__(self, entries: dict[int, int],
+                 by_degree: dict[int, dict[int, int]] | None = None):
+        self.entries = entries
+        self.by_degree = by_degree
 
     def total(self) -> int:
         return sum(self.entries.values())
@@ -438,19 +438,22 @@ def graded_to_snf(multiset) -> tuple[int, ...]:
 # verification procedures
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one verification run.
 
     ``verified``/``refuted`` are reserved for claims that are theorems in
     the tested range; conjecture-range comparisons report
-    ``unproven-match`` or ``unproven-mismatch`` instead.
+    ``unproven-match`` or ``unproven-mismatch`` instead.  Without a
+    ``witness`` the report gets an empty dict of its own.
     """
 
-    claim: str
-    params: dict
-    status: str
-    witness: dict = field(default_factory=dict)
+    __slots__ = ("claim", "params", "status", "witness")
+
+    def __init__(self, claim: str, params: dict, status: str, witness: dict | None = None):
+        self.claim = claim
+        self.params = params
+        self.status = status
+        self.witness = {} if witness is None else witness
 
     @property
     def ok(self) -> bool:

@@ -8,20 +8,21 @@ and no machine-word bound is assumed anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+import sys
+from collections import namedtuple
 
 from .partitions import valuation
 
 
 def _norm(x):
-    """Collapse integral Fractions to plain ints."""
+    """Collapse integral Fractions to plain ints.  ``fractions`` is imported
+    only by :meth:`Matrix.inverse`; until some module imports it, no
+    Fraction exists, so it is looked up rather than imported here."""
     if isinstance(x, int):
         return x
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return x
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
+        return int(x) if x.denominator == 1 else x
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
@@ -178,6 +179,8 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         """Exact inverse via Gauss-Jordan elimination over the rationals."""
+        from fractions import Fraction
+
         if not self.is_square():
             raise ValueError("inverse requires a square matrix")
         n = self.rows
@@ -251,11 +254,10 @@ def symmetric_power(y: Matrix, m: int) -> Matrix:
     return Matrix(rows)
 
 
-@dataclass
-class SnfResult:
+class SnfResult(namedtuple("SnfResult", "invariant_factors")):
     """Invariant factors d_1 | d_2 | ..., the Smith normal form's diagonal."""
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ()
 
 
 def _local_exponents(rows, p: int, k: int) -> list[int]:

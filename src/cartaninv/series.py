@@ -245,9 +245,25 @@ def _power_of_p(k: int, order: int) -> Series:
     return half * half
 
 
+@lru_cache(maxsize=None)
+def euler_series(order: int) -> Series:
+    """1/P, the product of 1 - q^i, by Euler's pentagonal number theorem:
+    the sum over k >= 0 of (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)), with the
+    term at k = 0 taken once."""
+    c = [0] * (order + 1)
+    c[0] = 1
+    k = 1
+    while k * (3 * k - 1) // 2 <= order:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if e <= order:
+                c[e] = (-1) ** k
+        k += 1
+    return Series(c, order)
+
+
 def _over_partition_power(ell: int, k: int, order: int) -> Series:
     """P / P(q^ell)^k, with (1/P)^k built only to order // ell."""
-    inner = partition_series(order // ell).invert() ** k
+    inner = euler_series(order // ell) ** k
     return partition_series(order) * inner.substitute_power(ell, order)
 
 

@@ -11,7 +11,7 @@ are lower triangular with nonzero diagonal in the canonical
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -21,13 +21,10 @@ from .linalg import Matrix
 from .partitions import Partition, multipartitions, partitions
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(namedtuple("TransitionMatrix", "degree index matrix")):
     """A square exact matrix together with its row/column label tuple."""
 
-    degree: int
-    index: tuple
-    matrix: Matrix
+    __slots__ = ()
 
 
 def _multiply_power_sum(support, r: int) -> dict:
@@ -36,7 +33,9 @@ def _multiply_power_sum(support, r: int) -> dict:
     Adding r either extends a monomial shape by a new part r (growing the
     sentinel part 0) or grows one distinct part value v to v + r; the
     multiplicity of the grown part in the result counts the ways the same
-    shape arises.
+    shape arises.  The grown part moves from the first position i of v to
+    the position j found by a backward scan over the larger parts, and its
+    multiplicity is one more than the run of parts equal to v + r before j.
     """
     out: dict[tuple[int, ...], int] = {}
     for mu, c in support.items():
@@ -44,8 +43,15 @@ def _multiply_power_sum(support, r: int) -> dict:
         for i, v in enumerate(values):
             if i and values[i - 1] == v:
                 continue
-            nu = tuple(sorted(mu[:i] + mu[i + 1:] + (v + r,), reverse=True))
-            out[nu] = out.get(nu, 0) + c * nu.count(v + r)
+            w = v + r
+            j = i
+            while j and mu[j - 1] < w:
+                j -= 1
+            k = j
+            while k and mu[k - 1] == w:
+                k -= 1
+            nu = mu[:j] + (w,) + mu[j:i] + mu[i + 1:]
+            out[nu] = out.get(nu, 0) + c * (j - k + 1)
     return out
 
 

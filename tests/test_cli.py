@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -182,6 +184,29 @@ def test_stdout_digests(capsys):
         code, out, _ = run(capsys, *line.split())
         assert code == 0, line
         assert hashlib.sha256(out.encode()).hexdigest() == digest, line
+
+
+# modules a command process need not load: dataclasses pulls in inspect, ast,
+# dis and tokenize, fractions pulls in decimal, and json serves only the json
+# format
+UNUSED_AT_IMPORT = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions",
+                    "decimal", "json", "typing"}
+
+
+def test_import_footprint():
+    # without site, which may import typing itself, importing the CLI loads
+    # none of them; fractions comes in with the first Matrix.inverse
+    script = ("import sys, cartaninv.cli\n"
+              "print(' '.join(sorted(sys.modules)))\n"
+              "cartaninv.cli.inv.Matrix([[2]]).inverse()\n"
+              "print('fractions' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded, inverse_loads = out.splitlines()
+    assert "cartaninv.cli" in loaded.split()
+    assert not UNUSED_AT_IMPORT & set(loaded.split())
+    assert inverse_loads == "True"
 
 
 def test_size_guard_exit(capsys, monkeypatch):

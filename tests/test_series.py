@@ -19,6 +19,7 @@ from cartaninv.series import (
     core_count_series,
     count_multipartitions,
     divisor_series,
+    euler_series,
     invariant_multiplicity_series,
     length_series,
     length_series_direct,
@@ -206,6 +207,17 @@ def test_invert_and_substitute():
     assert sub.coeff(3) == 0
     with pytest.raises(ValueError):
         P.substitute_power(0)
+
+
+def test_euler_series_is_the_inverse_of_p():
+    # the pentagonal-number series equals 1/P at every order up to MAX_ORDER:
+    # a truncated inverse is the truncation of the inverse
+    whole = partition_series(MAX_ORDER).invert()
+    for n in range(MAX_ORDER + 1):
+        assert euler_series(n).coeffs == whole.coeffs[: n + 1], n
+    for n in (0, 1, 2, 5, 12, 40, 100, MAX_ORDER):
+        assert euler_series(n) == partition_series(n).invert(), n
+    assert euler_series(12).coeffs == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1)
 
 
 def test_substitute_power_to_an_order():
