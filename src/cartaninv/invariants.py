@@ -12,7 +12,7 @@ version with the same invariant factors as a weight-d block.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress
 from math import factorial, gcd, prod
 from types import MappingProxyType
@@ -83,23 +83,24 @@ def length_power_diagonal(ell: int, d: int) -> Matrix:
     return Matrix.diagonal([ell ** lam.length for lam in partitions(d)])
 
 
-def tensor_diagonal_blocks(seed: Matrix, d: int) -> Matrix:
-    """Block-diagonal matrix of symmetric-power tensors over partitions of d.
+@lru_cache(maxsize=None)
+def _seed_block(seed: Matrix, mults: tuple[int, ...]) -> tuple:
+    """Rows of the block of B for a partition with part multiplicities
+    ``mults`` in descending part order: the Kronecker product of the
+    symmetric powers of the seed in them.  With that factor order the row
+    labels coincide with the canonical multipartition order."""
+    return reduce(Matrix.kron, (symmetric_power(seed, m) for m in mults), Matrix([[1]])).data
 
-    The block for a partition is the Kronecker product, over distinct part
-    values in descending order, of the symmetric powers of the seed in the
-    part multiplicities; with that factor order the row labels coincide
-    with the canonical multipartition order.
-    """
-    blocks = []
-    for lam in partitions(d):
-        mults = lam.multiplicities()
-        block = None
-        for r in sorted(mults, reverse=True):
-            factor = symmetric_power(seed, mults[r])
-            block = factor if block is None else block.kron(factor)
-        blocks.append(block if block is not None else Matrix([[1]]))
-    return direct_sum(blocks)
+
+def _seed_blocks(seed: Matrix, d: int) -> list[tuple]:
+    """The rows of each block of B, over the partitions of d in order."""
+    return [_seed_block(seed, tuple(lam.multiplicities().values())) for lam in partitions(d)]
+
+
+def tensor_diagonal_blocks(seed: Matrix, d: int) -> Matrix:
+    """Block-diagonal matrix B of symmetric-power tensors over partitions of
+    d, the direct sum of the blocks of :func:`_seed_blocks`."""
+    return direct_sum(map(Matrix, _seed_blocks(seed, d)))
 
 
 def _conjugated(seed: Matrix, d: int) -> Matrix:
@@ -111,25 +112,27 @@ def _conjugated(seed: Matrix, d: int) -> Matrix:
     division by T[i][i] must be exact, and a remainder means X is not
     integral, which is an upstream bug.  T, B and X are sparse, so the work
     runs over nonzeros only: row i of B * T sums B[i][m] times row m of T
-    over its nonzero columns, and each X[j] with T[i][j] nonzero is
-    subtracted over its own nonzero columns.  The column lists are local,
-    not cached beside T, and share one list of column numbers, so they cost
-    one pointer per nonzero.  Callers check the size guard first.
+    over the nonzero columns m of row i's own block, B is never assembled,
+    and each X[j] with T[i][j] nonzero is subtracted over its own nonzero
+    columns.  The column lists are local, not cached beside T, and share one
+    list of column numbers.  Callers check the size guard first.
     """
     t = transition_tensor(seed.rows, d).matrix.data
-    b = tensor_diagonal_blocks(seed, d).data
     n = len(t)
     cols = list(range(n))
     t_nonzero = [list(compress(cols, row)) for row in t]
+    b_rows: list[tuple[int, tuple]] = []
+    for block in _seed_blocks(seed, d):
+        start = len(b_rows)
+        b_rows += [(start, b_row) for b_row in block]
     x_nonzero: list[list[int]] = []
     rows: list[list[int]] = []
-    for i in cols:
+    for i, (start, b_i) in enumerate(b_rows):
         # row i of B * T, less T[i][j] * X[j] for j < i, is T[i][i] * X[i]
         row = [0] * n
-        b_i = b[i]
         for m in compress(cols, b_i):
-            c, t_m = b_i[m], t[m]
-            for j in t_nonzero[m]:
+            c, t_m = b_i[m], t[start + m]
+            for j in t_nonzero[start + m]:
                 row[j] += c * t_m[j]
         t_i = t[i]
         for j in t_nonzero[i]:
@@ -573,8 +576,8 @@ def verify_reduction(ell: int, d: int) -> VerificationReport:
     reference = graded_to_snf(divisors)
     u, v = _seed_transforms(ell)
     smith = u * lie_cartan_matrix(ell) * v == Matrix.diagonal([1] * (ell - 2) + [ell])
-    det_u = tensor_diagonal_blocks(u, d).det()
-    det_v = tensor_diagonal_blocks(v, d).det()
+    det_u = prod(Matrix(block).det() for block in _seed_blocks(u, d))
+    det_v = prod(Matrix(block).det() for block in _seed_blocks(v, d))
     unimodular = abs(det_u) == 1 and abs(det_v) == 1
     ok = computed == reference and smith and unimodular
     return VerificationReport(

@@ -8,8 +8,10 @@ and no machine-word bound is assumed anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from collections import namedtuple
+from functools import lru_cache
 
 from .partitions import valuation
 
@@ -141,18 +143,7 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; index pairs flatten row-major, (i, k) -> i*rows2 + k."""
-        rb, cb = other.rows, other.cols
-        out = []
-        for i in range(self.rows):
-            for k in range(rb):
-                out.append(
-                    [
-                        self.data[i][j] * other.data[k][l]
-                        for j in range(self.cols)
-                        for l in range(cb)
-                    ]
-                )
-        return Matrix(out)
+        return Matrix([[a * b for a in ra for b in rb] for ra in self.data for rb in other.data])
 
     def det(self) -> int:
         """Exact determinant of an integral matrix.
@@ -207,18 +198,42 @@ def direct_sum(matrices) -> Matrix:
     matrices = list(matrices)
     if not matrices:
         raise ValueError("direct_sum of nothing is empty")
-    rows = sum(m.rows for m in matrices)
-    cols = sum(m.cols for m in matrices)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    cols, start, out = sum(m.cols for m in matrices), 0, []
     for m in matrices:
-        for i in range(m.rows):
-            row = m.data[i]
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = row[j]
-        r0 += m.rows
-        c0 += m.cols
+        out += [(0,) * start + row + (0,) * (cols - start - m.cols) for row in m.data]
+        start += m.cols
     return Matrix(out)
+
+
+@lru_cache(maxsize=None)
+def _grow_index(k: int, m: int) -> tuple:
+    """For each weakly increasing (m-1)-tuple v from 0..k-1, in
+    lexicographic order, the positions of sorted(v + (j,)) among the m-tuples
+    for j = 0..k-1: multiplication of a monomial x^v by x_j."""
+    pos = {u: i for i, u in enumerate(itertools.combinations_with_replacement(range(k), m))}
+    return tuple(tuple(pos[tuple(sorted(v + (j,)))] for j in range(k))
+                 for v in itertools.combinations_with_replacement(range(k), m - 1))
+
+
+@lru_cache(maxsize=None)
+def _symmetric_power_rows(y: tuple, m: int) -> tuple:
+    """Rows of the m-th symmetric power of the square rows ``y``.  Row u is
+    row u[:-1] of the (m-1)-th power, a polynomial, times the linear form of
+    row y[u[-1]], through :func:`_grow_index`; u runs over the extensions of
+    each (m-1)-tuple v by t >= v[-1], which is lexicographic order."""
+    if not m:
+        return ((1,),)
+    k = len(y)
+    prev, grow, n = _symmetric_power_rows(y, m - 1), _grow_index(k, m), math.comb(m + k - 1, m)
+    rows = []
+    for v, p_v in zip(itertools.combinations_with_replacement(range(k), m - 1), prev):
+        for t in range(v[-1] if v else 0, k):
+            row = [0] * n
+            for c, up in itertools.compress(zip(p_v, grow), p_v):
+                for j, y_j in itertools.compress(zip(up, y[t]), y[t]):
+                    row[j] += c * y_j
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 def symmetric_power(y: Matrix, m: int) -> Matrix:
@@ -227,31 +242,15 @@ def symmetric_power(y: Matrix, m: int) -> Matrix:
     Rows and columns are indexed by weakly increasing m-tuples from 1..k in
     lexicographic order.  The row for the tuple u holds the coefficients,
     on monomials x^v, of the product over t of the linear forms
-    sum_j y[u_t][j] x_j.  For tuples without repeated entries this is the
-    plain product y[u_1][v_1] ... y[u_m][v_m] summed over the matchings of
-    equal column indices; it is the matrix of the induced map on degree-m
-    polynomials.
+    sum_j y[u_t][j] x_j; it is the matrix of the induced map on degree-m
+    polynomials.  Rows are built one factor at a time and cached per
+    (rows of y, m) (:func:`_symmetric_power_rows`).
     """
     if not y.is_square():
         raise ValueError("symmetric_power requires a square matrix")
     if m < 0:
         raise ValueError("m must be >= 0")
-    k = y.rows
-    index = list(itertools.combinations_with_replacement(range(k), m))
-    rows = []
-    for u in index:
-        poly = {(): 1}
-        for t in u:
-            nxt: dict[tuple, object] = {}
-            row_t = y.data[t]
-            for v, c in poly.items():
-                for j in range(k):
-                    if row_t[j]:
-                        w = tuple(sorted(v + (j,)))
-                        nxt[w] = nxt.get(w, 0) + c * row_t[j]
-            poly = nxt
-        rows.append([poly.get(v, 0) for v in index])
-    return Matrix(rows)
+    return Matrix(_symmetric_power_rows(y.data, m))
 
 
 class SnfResult(namedtuple("SnfResult", "invariant_factors")):

@@ -1,24 +1,23 @@
 """Transition matrices from the power-sum basis to the monomial basis of
 symmetric functions, in one-color and tensor (multipartition) form.
 
-The expansion of p_lam is built one part at a time, p_lam = p_lam' * p_r
-with lam' the partition lam less its last part r, and each prefix is cached,
-so partitions sharing a prefix share its expansion.  The arithmetic is on
-integer coefficients only, and both the single-color and the tensor matrix
-are lower triangular with nonzero diagonal in the canonical
-(multi)partition order.
+The row of p_lam is the cached row of lam' times the cached table of
+multiplication by p_r (:func:`_times_power_sum`), with lam' the partition
+lam less its last part r, so partitions sharing a prefix share its row.
+The arithmetic is on integer coefficients only, and both the single-color
+and the tensor matrix are lower triangular with nonzero diagonal in the
+canonical (multi)partition order.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import prod
-from types import MappingProxyType
 
 from .linalg import Matrix
-from .partitions import Partition, multipartitions, partitions
+from .partitions import Partition, _partitions_cached, multipartitions, partitions
 
 
 class TransitionMatrix(namedtuple("TransitionMatrix", "degree index matrix")):
@@ -27,19 +26,25 @@ class TransitionMatrix(namedtuple("TransitionMatrix", "degree index matrix")):
     __slots__ = ()
 
 
-def _multiply_power_sum(support, r: int) -> dict:
-    """Multiply a monomial-basis expansion by the degree-r power sum.
+@lru_cache(maxsize=None)
+def _times_power_sum(d: int, r: int) -> tuple:
+    """Multiplication by the degree-r power sum, from degree d to d + r: for
+    each mu of d in canonical order, the (index, coefficient) pairs of
+    m_mu * p_r over the partitions of d + r.
 
-    Adding r either extends a monomial shape by a new part r (growing the
-    sentinel part 0) or grows one distinct part value v to v + r; the
-    multiplicity of the grown part in the result counts the ways the same
-    shape arises.  The grown part moves from the first position i of v to
-    the position j found by a backward scan over the larger parts, and its
-    multiplicity is one more than the run of parts equal to v + r before j.
+    Adding r either extends mu by a new part r (growing the sentinel part 0)
+    or grows one distinct part value v to v + r; the multiplicity of the
+    grown part in the result counts the ways the same shape arises.  The
+    grown part moves from the first position i of v to the position j found
+    by a backward scan over the larger parts, and its multiplicity is one
+    more than the run of parts equal to v + r before j.
     """
-    out: dict[tuple[int, ...], int] = {}
-    for mu, c in support.items():
+    pos = {nu.parts: j for j, nu in enumerate(partitions(d + r))}
+    table = []
+    for lam in partitions(d):
+        mu = lam.parts
         values = mu + (0,)
+        terms = []
         for i, v in enumerate(values):
             if i and values[i - 1] == v:
                 continue
@@ -50,41 +55,51 @@ def _multiply_power_sum(support, r: int) -> dict:
             k = j
             while k and mu[k - 1] == w:
                 k -= 1
-            nu = mu[:j] + (w,) + mu[j:i] + mu[i + 1:]
-            out[nu] = out.get(nu, 0) + c * (j - k + 1)
-    return out
+            terms.append((pos[mu[:j] + (w,) + mu[j:i] + mu[i + 1:]], j - k + 1))
+        table.append(tuple(terms))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
-def _power_sum_support(parts: tuple[int, ...]) -> MappingProxyType:
-    """Monomial expansion of the power sum p_parts, by the recurrence
-    p_parts = p_parts[:-1] * p_parts[-1].  Every prefix of a partition is a
-    partition, so each prefix is expanded once and shared through the cache;
-    the result is read-only because the cache shares it."""
+def _row(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The monomial coefficients of the power sum p_parts over the
+    partitions of its degree: the row of parts[:-1] times the table of
+    p_parts[-1].  Every prefix of a partition is a partition, so each prefix
+    row is built once and shared through the cache."""
     if not parts:
-        return MappingProxyType({(): 1})
-    return MappingProxyType(
-        _multiply_power_sum(_power_sum_support(parts[:-1]), parts[-1]))
+        return (1,)
+    r, n, prev = parts[-1], sum(parts), _row(parts[:-1])
+    row = [0] * len(_partitions_cached(n))
+    for c, terms in compress(zip(prev, _times_power_sum(n - r, r)), prev):
+        for j, t in terms:
+            row[j] += c * t
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _support(parts: tuple[int, ...]) -> tuple:
+    """The (mu, coefficient) pairs of the nonzero entries of :func:`_row`."""
+    return tuple((mu.parts, c) for mu, c in zip(partitions(sum(parts)), _row(parts)) if c)
 
 
 def power_to_monomial(lam: Partition) -> dict[Partition, int]:
     """Expansion of the power sum of shape ``lam`` in the monomial basis."""
-    return {
-        Partition(mu): c for mu, c in _power_sum_support(lam.parts).items()
-    }
+    return {mu: c for mu, c in zip(partitions(lam.size), _row(lam.parts)) if c}
 
 
 def _fill(keys) -> Matrix:
     """The matrix whose entry (i, j) is the product over colors c of the
     coefficient of m_keys[j][c] in p_keys[i][c], for keys listing the part
-    tuples of each color.  Each row is filled from the product of its
-    components' supports, every term of which is a key of the same degree
-    vector, so only the nonzero entries are visited."""
+    tuples of each color.  One color takes the cached rows as they are; with
+    more, row i is the product of its colors' cached supports, every term of
+    which is a key of the same degree vector."""
+    if len(keys[0]) == 1:
+        return Matrix([_row(parts) for parts, in keys])
     pos = {key: j for j, key in enumerate(keys)}
     rows = []
     for key in keys:
         row = [0] * len(keys)
-        for terms in product(*(_power_sum_support(parts).items() for parts in key)):
+        for terms in product(*map(_support, key)):
             mus, coeffs = zip(*terms)
             row[pos[mus]] = prod(coeffs)
         rows.append(row)

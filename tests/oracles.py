@@ -1,16 +1,23 @@
-"""Partition combinatorics, an integer Smith normal form and small helpers
-that only the tests use.
+"""Partition combinatorics, an integer Smith normal form, dict-expansion
+transition and symmetric-power builders, and small helpers that only the
+tests use.
 
 No command reaches these: the closed forms come from products over part
-sizes and q-series, not from enumerating partitions, and the package's
-Smith normal form works one prime at a time on square nonsingular input.
-They stay here as independent checks on those routes.
+sizes and q-series, not from enumerating partitions, the package's Smith
+normal form works one prime at a time on square nonsingular input, and the
+package builds transitions and symmetric powers from cached operator
+tables.  They stay here as independent checks on those routes.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import prod
+from types import MappingProxyType
 
 from cartaninv.linalg import Matrix
-from cartaninv.partitions import Multipartition, Partition, factorial_valuation, is_prime
+from cartaninv.partitions import (Multipartition, Partition, factorial_valuation, is_prime,
+                                  multipartitions)
 from cartaninv.series import Series
 
 
@@ -252,3 +259,71 @@ def integer_snf(mat: Matrix, want_transforms: bool = False) -> IntegerSnf:
         return IntegerSnf(tuple(factors))
     return IntegerSnf(tuple(factors), left=Matrix([row[m:] for row in a[:n]]),
                       right=Matrix([row[:m] for row in a[n:]]))
+
+
+def multiply_power_sum(support, r: int) -> dict:
+    """Multiply a monomial-basis expansion, a {mu: coefficient} dict, by the
+    degree-r power sum.
+
+    Adding r either extends a monomial shape by a new part r (growing the
+    sentinel part 0) or grows one distinct part value v to v + r; the
+    multiplicity of the grown part in the result counts the ways the same
+    shape arises.  The grown part moves from the first position i of v to
+    the position j found by a backward scan over the larger parts, and its
+    multiplicity is one more than the run of parts equal to v + r before j.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for mu, c in support.items():
+        values = mu + (0,)
+        for i, v in enumerate(values):
+            if i and values[i - 1] == v:
+                continue
+            w = v + r
+            j = i
+            while j and mu[j - 1] < w:
+                j -= 1
+            k = j
+            while k and mu[k - 1] == w:
+                k -= 1
+            nu = mu[:j] + (w,) + mu[j:i] + mu[i + 1:]
+            out[nu] = out.get(nu, 0) + c * (j - k + 1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def power_sum_support(parts: tuple[int, ...]) -> MappingProxyType:
+    """Monomial expansion of the power sum p_parts, by the recurrence
+    p_parts = p_parts[:-1] * p_parts[-1], each prefix expanded once."""
+    if not parts:
+        return MappingProxyType({(): 1})
+    return MappingProxyType(multiply_power_sum(power_sum_support(parts[:-1]), parts[-1]))
+
+
+def transition_by_support(k: int, d: int) -> Matrix:
+    """The tensor transition over the k-multipartitions of d (k = 1: the
+    p-to-m transition): entry (i, j) is the product over colors of the
+    coefficient of m_mu_j in p_lam_i, read off the prefix-dict expansions."""
+    keys = [tuple(comp.parts for comp in mp.components) for mp in multipartitions(k, d)]
+    return Matrix([[prod(power_sum_support(lam).get(mu, 0) for lam, mu in zip(row, col))
+                    for col in keys] for row in keys])
+
+
+def symmetric_power_by_expansion(y: Matrix, m: int) -> Matrix:
+    """The m-th symmetric power of a square matrix, each row expanded as a
+    {monomial: coefficient} dict, one linear form sum_j y[t][j] x_j at a
+    time, over weakly increasing m-tuples in lexicographic order."""
+    k = y.rows
+    index = list(combinations_with_replacement(range(k), m))
+    rows = []
+    for u in index:
+        poly = {(): 1}
+        for t in u:
+            nxt: dict[tuple, int] = {}
+            for v, c in poly.items():
+                for j, y_tj in enumerate(y.data[t]):
+                    if y_tj:
+                        w = tuple(sorted(v + (j,)))
+                        nxt[w] = nxt.get(w, 0) + c * y_tj
+            poly = nxt
+        rows.append([poly.get(v, 0) for v in index])
+    return Matrix(rows)

@@ -5,10 +5,10 @@ from itertools import combinations_with_replacement
 import pytest
 
 from cartaninv import linalg
-from cartaninv.invariants import gram_matrix, graded_invariants, graded_to_snf
+from cartaninv.invariants import gram_matrix, graded_invariants, graded_to_snf, lie_cartan_matrix
 from cartaninv.linalg import Matrix, direct_sum, smith_normal_form, symmetric_power
 from cartaninv.partitions import valuation
-from oracles import integer_snf, snf_diagonal, transpose
+from oracles import integer_snf, snf_diagonal, symmetric_power_by_expansion, transpose
 
 
 def tridiagonal(n):
@@ -89,6 +89,15 @@ def test_symmetric_power():
         for j, v in enumerate(pairs):
             expected = (d[(u[0], u[0])] * d[(u[1], u[1])]) if u == v else 0
             assert s[(i, j)] == expected
+
+
+def test_symmetric_power_equals_dict_expansion():
+    # the cached operator rows against the per-row dict expansion
+    seeds = [lie_cartan_matrix(ell) for ell in range(2, 9)]
+    seeds.append(Matrix([[3, -2, 0], [1, 0, -4], [-1, 5, 2]]))
+    for y in seeds:
+        for m in range(6):
+            assert symmetric_power(y, m) == symmetric_power_by_expansion(y, m), (y, m)
 
 
 def test_symmetric_power_determinant():

@@ -3,11 +3,12 @@ from math import factorial
 
 import pytest
 
-from cartaninv import symfunc
+from cartaninv import invariants, linalg, symfunc
+from cartaninv.invariants import lie_cartan_matrix
 from cartaninv.linalg import Matrix
 from cartaninv.partitions import Partition, partitions
 from cartaninv.symfunc import power_to_monomial, transition_p_to_m, transition_tensor
-from oracles import degree_vector
+from oracles import degree_vector, transition_by_support
 
 
 def monomial_value_at_ones(mu, t):
@@ -129,5 +130,20 @@ def test_cached_transitions_are_immutable():
             t.index[0] = t.index[1]
         with pytest.raises(AttributeError):
             t.index.append(t.index[0])
-    with pytest.raises(TypeError):
-        symfunc._power_sum_support((2, 1))[(3,)] = 0
+    # the cached operator tables, rows, supports and seed blocks are tuples
+    seed = lie_cartan_matrix(4)
+    for table in (symfunc._times_power_sum(2, 1), symfunc._row((2, 1)),
+                  symfunc._support((2, 1)), linalg._grow_index(3, 2),
+                  linalg._symmetric_power_rows(seed.data, 2),
+                  invariants._seed_block(seed, (2, 1))):
+        with pytest.raises(TypeError):
+            table[0] = table[-1]
+
+
+def test_transitions_equal_prefix_dict_oracle():
+    # the operator-table rows against the prefix-dict expansion they replace
+    for d in range(17):
+        assert transition_p_to_m(d).matrix == transition_by_support(1, d), d
+    cases = [(k, d) for k in range(1, 6) for d in range(5)] + [(2, 5), (2, 6)]
+    for k, d in cases:
+        assert transition_tensor(k, d).matrix == transition_by_support(k, d), (k, d)
