@@ -112,10 +112,10 @@ def _conjugated(seed: Matrix, d: int) -> Matrix:
     division by T[i][i] must be exact, and a remainder means X is not
     integral, which is an upstream bug.  T, B and X are sparse, so the work
     runs over nonzeros only: row i of B * T sums B[i][m] times row m of T
-    over the nonzero columns m of row i's own block, B is never assembled,
-    and each X[j] with T[i][j] nonzero is subtracted over its own nonzero
-    columns.  The column lists are local, not cached beside T, and share one
-    list of column numbers.  Callers check the size guard first.
+    over the nonzero columns m of row i in its own block, so B is never
+    assembled, and each X[j] with T[i][j] nonzero is subtracted over its
+    own nonzero columns.  The column lists are local, not cached beside T,
+    and share one list of column numbers.  Callers check the size guard first.
     """
     t = transition_tensor(seed.rows, d).matrix.data
     n = len(t)
