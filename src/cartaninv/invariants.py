@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import compress
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
 from types import MappingProxyType
 
 from .linalg import Matrix, direct_sum, smith_normal_form, symmetric_power
@@ -473,8 +473,33 @@ def _exponent_bounds(ell: int, d: int) -> dict[int, int]:
     ell^d * B^-1 is integral: both seeds have determinant ell, and the block
     of lam is symmetric powers of the seed of total degree length(lam) <= d.
     It equals the closed-form invariant at lam = (1^d) without using it.
+    Its keys are every prime of |det X| = ell^E (:func:`_det_exponent`).
     """
     return {p: r * d + _factorial_valuation(d, p) for p, r in prime_factorization(ell)}
+
+
+def _det_exponent(k: int, d: int) -> int:
+    """E with |det X| = |det A|^E for the degree-d X = T^-1 * B * T of a
+    k x k seed A, from the partitions of d alone.
+
+    T * X = B * T is solved exactly, so det X = det B, the product of the
+    blocks' determinants.  The block of lam is the Kronecker product of
+    Sym^m(A) over the part multiplicities m of lam; Sym^m(A) has dimension
+    C(m+k-1, k-1) and determinant det(A)^C(m+k-1, k), that is det(A) to
+    m/k times its dimension, and det(F x G) = det(F)^dim G * det(G)^dim F.
+    So the block contributes length(lam) * dim / k, an integer, and E(1, d)
+    is the total length of the partitions of d.
+    """
+    return sum(lam.length * prod(comb(m + k - 1, k - 1) for m in lam.multiplicities().values())
+               for lam in partitions(d)) // k
+
+
+def _invariant_factors(x: Matrix, ell: int, d: int, k: int = 1) -> tuple[int, ...]:
+    """The Smith chain of the degree-d X of a k x k seed of determinant ell,
+    [ell] (k = 1) or the Lie Cartan matrix (k = ell - 1), at |det X| =
+    ell^E(k, d) and the proven bounds."""
+    return smith_normal_form(x, det=ell ** _det_exponent(k, d),
+                             bounds=_exponent_bounds(ell, d)).invariant_factors
 
 
 def verify_snf_conjecture(ell: int, d: int) -> VerificationReport:
@@ -487,7 +512,7 @@ def verify_snf_conjecture(ell: int, d: int) -> VerificationReport:
         raise ValueError("ell must be >= 2")
     factorization = prime_factorization(ell)
     x = gram_matrix(ell, d)
-    computed = smith_normal_form(x, bounds=_exponent_bounds(ell, d)).invariant_factors
+    computed = _invariant_factors(x, ell, d)
     predicted = graded_to_snf([g.value for g in graded_invariants(ell, d)])
     theorem = len(factorization) == 1 and factorization[0][1] <= factorization[0][0]
     match = computed == predicted
@@ -517,9 +542,9 @@ def verify_splitting(a: int, b: int, d: int) -> VerificationReport:
     ok = xab == xa * xb
     witness: dict = {"matrix_identity": ok}
     if gcd(a, b) == 1:
-        sa = smith_normal_form(xa, bounds=_exponent_bounds(a, d)).invariant_factors
-        sb = smith_normal_form(xb, bounds=_exponent_bounds(b, d)).invariant_factors
-        sab = smith_normal_form(xab, bounds=_exponent_bounds(a * b, d)).invariant_factors
+        sa = _invariant_factors(xa, a, d)
+        sb = _invariant_factors(xb, b, d)
+        sab = _invariant_factors(xab, a * b, d)
         product = tuple(x * y for x, y in zip(sa, sb))
         witness["snf_product"] = product
         witness["snf_computed"] = sab
@@ -558,26 +583,26 @@ def verify_reduction(ell: int, d: int) -> VerificationReport:
     Compares invariant factors of the tensor matrix with those of the
     block-diagonal reference, the direct sum over s <= d of
     gram_matrix(ell, s) repeated once per (ell-2)-multipartition of d - s.
-    Multiplies out the closed-form Smith transforms of the seed
+    Multiplies out the closed-form Smith transforms U, V of the seed
     (:func:`_seed_transforms`) and checks that their symmetric-power tensor
-    blocks are unimodular.  The elementary divisors of a direct sum are the
-    union of its blocks', so the reference chain is merged per prime
-    (:func:`graded_to_snf`) from the small blocks' invariant factors.
+    blocks are unimodular: the determinant of the blocks of U is
+    det(U)^E(ell - 1, d) (:func:`_det_exponent`), so no block is built.
+    The elementary divisors of a direct sum are the union of its blocks',
+    so the reference chain is merged per prime (:func:`graded_to_snf`) from
+    the small blocks' invariant factors.
     """
-    bounds = _exponent_bounds(ell, d)  # also bounds each gram_matrix(ell, s <= d)
-    xa = tensor_gram_matrix(ell, d)
-    computed = smith_normal_form(xa, bounds=bounds).invariant_factors
+    computed = _invariant_factors(tensor_gram_matrix(ell, d), ell, d, ell - 1)
     mults = multipartition_series(ell - 2, d).coeffs
     divisors: dict[int, int] = {}
     for s in range(d + 1):
         if mults[d - s]:
-            for f in smith_normal_form(gram_matrix(ell, s), bounds=bounds).invariant_factors:
+            for f in _invariant_factors(gram_matrix(ell, s), ell, s):
                 _add_entry(divisors, f, mults[d - s])
     reference = graded_to_snf(divisors)
     u, v = _seed_transforms(ell)
     smith = u * lie_cartan_matrix(ell) * v == Matrix.diagonal([1] * (ell - 2) + [ell])
-    det_u = prod(Matrix(block).det() for block in _seed_blocks(u, d))
-    det_v = prod(Matrix(block).det() for block in _seed_blocks(v, d))
+    e = _det_exponent(ell - 1, d)
+    det_u, det_v = u.det() ** e, v.det() ** e
     unimodular = abs(det_u) == 1 and abs(det_v) == 1
     ok = computed == reference and smith and unimodular
     return VerificationReport(

@@ -14,6 +14,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .partitions import valuation
+from .series import _pack
 
 
 def _norm(x):
@@ -259,17 +260,48 @@ class SnfResult(namedtuple("SnfResult", "invariant_factors")):
     __slots__ = ()
 
 
-def _local_exponents(rows, p: int, k: int) -> list[int]:
-    """Exponents of the prime ``p`` in the invariant factors of a nonsingular
-    square matrix, ascending, by one elimination over Z/p^k.
+def _two_adic_exponents(rows, k: int) -> tuple[list[int], int]:
+    """:func:`_local_exponents` at p = 2 on rows packed into one int each
+    (:func:`series._pack`), in slots of at least 2k + 2 bits; returns the
+    exponents and the number of rows left unpivoted.
 
-    Any entry not divisible by p is a unit pivot: its row is scaled by the
-    inverse and the rest becomes the Schur complement, so the pivot records
-    the current shift.  A block with no unit is p times a block known to
-    one digit less, so it is divided by p and the shift grows by one.  A
-    block still left once the precision is used up has every factor
-    divisible by p^k, an ``ArithmeticError``.
+    Every slot holds its entry mod q = 2^k, the low k bits that ``mask``
+    keeps.  A unit is a set bit of ``r & low``, where ``low`` sets bit 0 of
+    every slot.  The pivot row, times the pivot's inverse, has a 1 in the
+    pivot column, so a row with c there becomes (r + (q - c) * prow) & mask,
+    one multiply, add and mask, as no slot reaches 2^(2k+1); the column is
+    then zero in every row left and is never removed.  With no unit every
+    slot is even, so ``r >> 1`` halves them all, and the mask narrows.
     """
+    width = (2 * k + 9) // 8  # bytes, so 8 * width >= 2k + 2 bits
+    low = _pack([1] * len(rows[0]), width)
+    q, shift, exps = 1 << k, 0, []
+    mask = low * (q - 1)
+    a = [_pack([x % q for x in row], width) for row in rows]
+    while a and q > 1:
+        i = next((i for i, r in enumerate(a) if r & low), None)
+        if i is None:
+            a = [r >> 1 for r in a]
+            q >>= 1
+            mask = low * (q - 1)
+            shift += 1
+            continue
+        prow = a.pop(i)
+        unit = prow & low
+        at = (unit & -unit).bit_length() - 1
+        prow = prow * pow(prow >> at & q - 1, -1, q) & mask
+        exps.append(shift)
+        for j, r in enumerate(a):
+            c = r >> at & q - 1
+            if c:
+                a[j] = (r + (q - c) * prow) & mask
+    return exps, len(a)
+
+
+def _list_exponents(rows, p: int, k: int) -> tuple[list[int], int]:
+    """:func:`_local_exponents` on rows kept as lists of entries mod p^k,
+    from which each pivot column is popped; returns the exponents and the
+    number of rows left unpivoted.  Any p works; odd p is sent here."""
     q, shift, exps = p ** k, 0, []
     a = [[x % q for x in row] for row in rows]
     while a and q > 1:
@@ -290,27 +322,50 @@ def _local_exponents(rows, p: int, k: int) -> list[int]:
             c = row.pop(j)
             schur.append([(x - c * y) % q for x, y in zip(row, prow)] if c else row)
         a = schur
-    if a:
-        raise ArithmeticError(f"{len(a)} invariant factors are divisible by {p}^{k}")
+    return exps, len(a)
+
+
+def _local_exponents(rows, p: int, k: int) -> list[int]:
+    """Exponents of the prime ``p`` in the invariant factors of a nonsingular
+    square matrix, ascending, by one elimination over Z/p^k.
+
+    Any entry not divisible by p is a unit pivot: its row is scaled by the
+    inverse and the rest becomes the Schur complement, so the pivot records
+    the current shift.  A block with no unit is p times a block known to
+    one digit less, so it is divided by p and the shift grows by one.  A
+    block still left once the precision is used up has every factor
+    divisible by p^k, an ``ArithmeticError``.  At p = 2 each row is one
+    packed int (:func:`_two_adic_exponents`), at odd p a list
+    (:func:`_list_exponents`).
+    """
+    exps, left = _two_adic_exponents(rows, k) if p == 2 else _list_exponents(rows, p, k)
+    if left:
+        raise ArithmeticError(f"{left} invariant factors are divisible by {p}^{k}")
     return exps
 
 
-def smith_normal_form(mat: Matrix, *, bounds) -> SnfResult:
+def smith_normal_form(mat: Matrix, *, det, bounds) -> SnfResult:
     """Smith normal form of a square nonsingular integral matrix, per prime.
 
-    ``bounds`` maps each prime p of D = |det| (from :meth:`Matrix.det`) to
-    a non-negative int e no less than p's exponent in the largest factor.
-    One elimination over Z/p^k, k = min(v_p(D), e) + 1, gives the exponents
-    of p (:func:`_local_exponents`), which must sum to v_p(D); D must have
-    no prime outside ``bounds``.  A failed check, or a bound set too low, is
-    an ``ArithmeticError``; a rectangular or singular input, or a bad bound,
-    a ``ValueError``.  The factors are the per-prime chains' products.
+    ``det`` is D = |det mat|, which the caller supplies; the builders know
+    it in closed form (``invariants._det_exponent``), so no determinant is
+    computed here.  ``bounds`` maps each prime p of D to a non-negative int
+    e no less than p's exponent in the largest factor.  One elimination
+    over Z/p^k, k = min(v_p(D), e) + 1, gives the exponents of p
+    (:func:`_local_exponents`), which must sum to v_p(D); D must have no
+    prime outside ``bounds``.  So a ``det`` whose exponent is wrong at a
+    prime of ``bounds``, or that has any other prime, fails; a prime of the
+    true |det| missing from both goes unseen, which is why ``det`` must be
+    proven.  A failed check, or a bound set too low, is an
+    ``ArithmeticError``; a rectangular input, a ``det`` below 1, or a bad
+    bound, a ``ValueError``.  The factors are the per-prime chains' products.
     """
     if not mat.is_integral():
         raise ValueError("smith_normal_form requires an integral matrix")
-    rest = mat.is_square() and abs(mat.det())
-    if not rest:
-        raise ValueError("bounds= takes a square nonsingular matrix")
+    if not (mat.is_square() and isinstance(det, int) and det >= 1):
+        raise ValueError(f"det= and bounds= take a square nonsingular matrix and its |det| >= 1,"
+                         f" not a {mat.rows}x{mat.cols} matrix and det={det!r}")
+    rest = det
     factors = [1] * mat.rows
     for p, e in bounds.items():
         if not isinstance(e, int) or e < 0:

@@ -1,5 +1,5 @@
 from hashlib import sha256
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -358,7 +358,7 @@ def _top_exponents(m, primes):
     # the exponents of the primes in the largest invariant factor, computed
     # at the bound v_p(|det|), which no exponent can pass
     det = abs(m.det())
-    snf = smith_normal_form(m, bounds={p: valuation(det, p) for p in primes})
+    snf = smith_normal_form(m, det=det, bounds={p: valuation(det, p) for p in primes})
     return {p: valuation(snf.invariant_factors[-1], p) for p in primes}
 
 
@@ -381,9 +381,10 @@ def test_exponent_bounds_hold_and_are_attained():
     # a bound one short of the largest exponent fails rather than returning
     # a shorter chain
     assert invariants._exponent_bounds(4, 6) == {2: 16}
-    assert smith_normal_form(gram_matrix(4, 6), bounds={2: 16}).invariant_factors[-1] == 2 ** 16
+    x = gram_matrix(4, 6)
+    assert smith_normal_form(x, det=abs(x.det()), bounds={2: 16}).invariant_factors[-1] == 2 ** 16
     with pytest.raises(ArithmeticError, match="divisible by"):
-        smith_normal_form(gram_matrix(4, 6), bounds={2: 15})
+        smith_normal_form(x, det=abs(x.det()), bounds={2: 15})
 
 
 def test_verify_splitting():
@@ -415,7 +416,8 @@ def _direct_sum_chain(ell, d):
     # once per (ell-2)-multipartition of d - s, and its SNF
     blocks = [Matrix.diagonal([1] * count_multipartitions(ell - 2, d - s)).kron(gram_matrix(ell, s))
               for s in range(d + 1) if count_multipartitions(ell - 2, d - s)]
-    return smith_normal_form(direct_sum(blocks),
+    m = direct_sum(blocks)
+    return smith_normal_form(m, det=abs(m.det()),
                              bounds=invariants._exponent_bounds(ell, d)).invariant_factors
 
 
@@ -428,6 +430,39 @@ def test_verify_reduction():
     for d in range(5):
         assert verify_reduction(4, d).status == "verified"
     assert verify_reduction(2, 4).status == "verified"
+
+
+def test_det_exponent_matches_bareiss():
+    # |det X| = ell^E(k, d), read off the partitions of d, is the Bareiss
+    # determinant: one color (k = 1, where E is the total length) and tensors
+    # (k = ell - 1)
+    for d in range(11):
+        assert invariants._det_exponent(1, d) == total_length(d)
+    for ell in (2, 3, 4, 6):
+        for d in range(7):
+            assert abs(gram_matrix(ell, d).det()) == ell ** invariants._det_exponent(1, d)
+    for ell, w in ((3, 4), (4, 4), (5, 3), (6, 3), (8, 3)):
+        x = tensor_gram_matrix(ell, w)
+        assert abs(x.det()) == ell ** invariants._det_exponent(ell - 1, w), (ell, w)
+
+
+def test_seed_block_determinants_match_det_exponent():
+    # the blocks of B for a k x k seed A have determinant det(A)^E(k, d),
+    # sign included: on the seed transforms, whose blocks verify_reduction
+    # no longer builds, for ell = 3..8, and on two seeds with |det| > 1
+    seeds = [Matrix([[2, 1], [1, 3]]), Matrix([[1, 2, 0], [0, 3, 1], [2, 0, -1]])]
+    for ell in range(3, 9):
+        seeds += invariants._seed_transforms(ell)
+    for seed in seeds:
+        for d in range(5):
+            blocks = prod(Matrix(block).det() for block in invariants._seed_blocks(seed, d))
+            assert blocks == seed.det() ** invariants._det_exponent(seed.rows, d), (seed, d)
+    # which verify_reduction reports
+    for ell, d in ((3, 3), (4, 2), (5, 1)):
+        u, v = invariants._seed_transforms(ell)
+        witness = verify_reduction(ell, d).witness
+        assert [witness["det_left"], witness["det_right"]] == [
+            prod(Matrix(block).det() for block in invariants._seed_blocks(t, d)) for t in (u, v)]
 
 
 def test_seed_transforms_closed_form(monkeypatch):

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
+import cartaninv.invariants as invariants
 from cartaninv import linalg
-from cartaninv.invariants import gram_matrix, graded_invariants, graded_to_snf, lie_cartan_matrix
+from cartaninv.invariants import (gram_matrix, graded_invariants, graded_to_snf, lie_cartan_matrix,
+                                  tensor_gram_matrix, verify_reduction, verify_snf_conjecture)
 from cartaninv.linalg import Matrix, direct_sum, smith_normal_form, symmetric_power
-from cartaninv.partitions import valuation
+from cartaninv.partitions import total_length, valuation
 from oracles import integer_snf, snf_diagonal, symmetric_power_by_expansion, transpose
 
 
@@ -113,7 +116,7 @@ def test_snf_examples():
     for ell in range(2, 9):
         chain = integer_snf(tridiagonal(ell - 1)).invariant_factors
         assert chain == (1,) * (ell - 2) + (ell,)
-    for snf in (integer_snf, lambda m: smith_normal_form(m, bounds={2: 1})):
+    for snf in (integer_snf, lambda m: smith_normal_form(m, det=2, bounds={2: 1})):
         with pytest.raises(ValueError):
             snf(Matrix([[Fraction(1, 2)]]))
 
@@ -122,23 +125,28 @@ def test_snf_zero_and_rectangular():
     assert integer_snf(Matrix([[0, 0], [0, 0]])).invariant_factors == (0, 0)
     assert integer_snf(Matrix([[2, 4, 6]])).invariant_factors == (2,)
     assert integer_snf(Matrix([[2], [3]])).invariant_factors == (1,)
-    # the package's route takes square nonsingular input, needs the bounds
-    # and hands out no transforms
-    for m in (Matrix([[1, 2], [2, 4]]), Matrix([[2, 4, 6]])):
-        with pytest.raises(ValueError, match="bounds="):
-            smith_normal_form(m, bounds={2: 1, 3: 1})
+    # the package's route takes square nonsingular input, needs |det| and
+    # the bounds, both by keyword, and hands out no transforms
+    for m, det in ((Matrix([[1, 2], [2, 4]]), 0), (Matrix([[2, 4, 6]]), 2)):
+        with pytest.raises(ValueError, match="det= and bounds="):
+            smith_normal_form(m, det=det, bounds={2: 1, 3: 1})
     m = Matrix([[2, 0], [0, 3]])
-    for args, kwargs in [((m, True), {"bounds": {2: 1, 3: 1}}), ((m,), {}),
-                         ((m,), {"primes": (2, 3)})]:
+    for args, kwargs in [((m, True), {"det": 6, "bounds": {2: 1, 3: 1}}), ((m,), {}),
+                         ((m,), {"bounds": {2: 1, 3: 1}}), ((m, 6), {"bounds": {2: 1, 3: 1}}),
+                         ((m,), {"det": 6, "primes": (2, 3)})]:
         with pytest.raises(TypeError):
             smith_normal_form(*args, **kwargs)
+    # |det| is a positive int
+    for det in (-6, 6.0, None, "6"):
+        with pytest.raises(ValueError, match="det= and bounds="):
+            smith_normal_form(m, det=det, bounds={2: 1, 3: 1})
     with pytest.raises(ValueError, match="not prime"):
-        smith_normal_form(Matrix.diagonal([2, 4]), bounds={4: 1})
+        smith_normal_form(Matrix.diagonal([2, 4]), det=8, bounds={4: 1})
     # a negative bound would make p ** k a float; no bound but a
     # non-negative int is taken
     for bound in (-1, -3, 1.0, 2.5, None, "1"):
         with pytest.raises(ValueError, match="not a non-negative int"):
-            smith_normal_form(m, bounds={2: 1, 3: bound})
+            smith_normal_form(m, det=6, bounds={2: 1, 3: bound})
 
 
 def test_snf_rank_deficient():
@@ -246,8 +254,10 @@ def test_snf_pivot_equal_to_later_entry():
     # these and on gram_matrix(3, 9)
     assert integer_snf(Matrix([[2, 2], [0, 2]])).invariant_factors == (2, 2)
     assert integer_snf(Matrix([[4, 6], [2, 2]])).invariant_factors == (2, 2)
-    assert smith_normal_form(Matrix([[2, 2], [0, 2]]), bounds={2: 1}).invariant_factors == (2, 2)
-    assert smith_normal_form(gram_matrix(3, 9), bounds={3: 13}).invariant_factors == graded_to_snf(
+    assert smith_normal_form(Matrix([[2, 2], [0, 2]]), det=4,
+                             bounds={2: 1}).invariant_factors == (2, 2)
+    assert smith_normal_form(gram_matrix(3, 9), det=3 ** total_length(9),
+                             bounds={3: 13}).invariant_factors == graded_to_snf(
         [g.value for g in graded_invariants(3, 9)])
 
 
@@ -286,35 +296,45 @@ def test_snf_of_scrambled_known_chain(monkeypatch):
         assert integer_snf(m, want_transforms=True).invariant_factors == tuple(chain)
         if trial % 4:
             bounds = {p: valuation(chain[-1], p) for p in (2, 3, 5)}
+            det = prod(chain)
             passes.clear()
-            assert smith_normal_form(m, bounds=bounds).invariant_factors == tuple(chain), chain
+            assert smith_normal_form(m, det=det, bounds=bounds).invariant_factors == tuple(chain)
             assert passes == [(p, e + 1) for p, e in bounds.items()]
             loose = {p: e + 7 for p, e in bounds.items()}
-            assert smith_normal_form(m, bounds=loose).invariant_factors == tuple(chain), chain
+            assert smith_normal_form(m, det=det, bounds=loose).invariant_factors == tuple(chain)
             local += 1
             for p, e in bounds.items():
                 if e:
                     with pytest.raises(ArithmeticError, match="divisible by"):
-                        smith_normal_form(m, bounds={**bounds, p: e - 1})
+                        smith_normal_form(m, det=det, bounds={**bounds, p: e - 1})
                     short += e >= 20
         huge += chain[-1] > big
         repeated += len(set(chain)) < n
     assert huge >= 4 and repeated >= 10 and local == 30 and short >= 8
 
 
-def test_snf_modular_route_checks_its_product(monkeypatch):
+def test_snf_modular_route_checks_its_product():
     # |det| = 28: the local route's exponents must sum to v_p(|det|) at each
-    # given prime, and no other prime may be left in |det|
+    # given prime, and no other prime may be left in |det|; so a wrong |det|
+    # fails, v_2 one too high or too low, or with an extra factor 3 whether
+    # 3 is among the bounds or not
     m = Matrix([[4, 6, 1], [2, 2, 0], [1, 5, 9]])
-    assert smith_normal_form(m, bounds={2: 2, 7: 1}).invariant_factors == (1, 1, 28)
+    assert smith_normal_form(m, det=28, bounds={2: 2, 7: 1}).invariant_factors == (1, 1, 28)
     with pytest.raises(ArithmeticError, match="outside the primes"):
-        smith_normal_form(m, bounds={2: 2})
-    true_det = Matrix._det_bareiss
-    for scale, message in [(lambda d: 2 * d, "do not sum"),
-                           (lambda d: d // 2, r"divisible by 2\^2")]:
-        monkeypatch.setattr(Matrix, "_det_bareiss", lambda self, f=scale: f(true_det(self)))
+        smith_normal_form(m, det=28, bounds={2: 2})
+    for det, bounds, message in [(56, {2: 2, 7: 1}, "do not sum"),
+                                 (14, {2: 2, 7: 1}, r"divisible by 2\^2"),
+                                 (84, {2: 2, 7: 1}, "factor 3 outside the primes"),
+                                 (84, {2: 2, 3: 1, 7: 1}, "do not sum")]:
         with pytest.raises(ArithmeticError, match=message):
-            smith_normal_form(m, bounds={2: 2, 7: 1})
+            smith_normal_form(m, det=det, bounds=bounds)
+    # the same on a builder matrix: |det X| = 4^L(6) = 2^38
+    x, det = gram_matrix(4, 6), 4 ** total_length(6)
+    assert smith_normal_form(x, det=det, bounds={2: 16}).invariant_factors[-1] == 2 ** 16
+    for wrong, message in [(2 * det, "do not sum"), (det // 2, "do not sum"),
+                           (3 * det, "factor 3 outside")]:
+        with pytest.raises(ArithmeticError, match=message):
+            smith_normal_form(x, det=wrong, bounds={2: 16})
 
 
 def _finest_cut(rows):
@@ -373,13 +393,88 @@ def test_block_determinant_matches_oracles():
     assert min(seen.values()) >= 5, seen
 
 
-def test_snf_modulus_comes_from_public_det(monkeypatch):
-    # the local route reads |det| through Matrix.det, which traces it; the
-    # integer kernel reads no determinant
+def test_snf_computes_no_det(monkeypatch):
+    # the local route takes |det| from its caller and computes none, on a
+    # dense matrix and on the builders' matrices, whose |det| is in closed
+    # form; verify_reduction's Bareiss on the seed transforms, outside the
+    # SNF, shows that the hooks see determinants
+    inside, calls = [], []
+    snf = linalg.smith_normal_form
+
+    def traced_snf(*args, **kwargs):
+        inside.append(True)
+        try:
+            return snf(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(invariants, "smith_normal_form", traced_snf)
+    for name in ("det", "_det_bareiss"):
+        true = getattr(Matrix, name)
+        monkeypatch.setattr(Matrix, name,
+                            lambda self, true=true: calls.append(bool(inside)) or true(self))
     m = Matrix([[4, 6, 1], [2, 2, 0], [1, 5, 9]])
-    true_det = Matrix.det
-    calls = []
-    monkeypatch.setattr(Matrix, "det", lambda self: calls.append(self) or true_det(self))
-    assert smith_normal_form(m, bounds={2: 2, 7: 1}).invariant_factors == (1, 1, abs(true_det(m)))
-    assert integer_snf(m).invariant_factors == (1, 1, 28)
-    assert calls == [m]
+    assert traced_snf(m, det=28, bounds={2: 2, 7: 1}).invariant_factors == (1, 1, 28)
+    assert verify_snf_conjecture(4, 9).status == "verified"
+    assert verify_reduction(4, 3).status == "verified"
+    assert calls and not any(calls)
+
+
+def _two_adic(chain):
+    return [valuation(f, 2) for f in chain]
+
+
+def test_packed_two_adic_kernel_matches_the_integer_kernel():
+    # at p = 2 the packed kernel gives the 2-adic exponents of the integer
+    # kernel's chain, on the one-color matrices for ell in {2, 4, 8, 16} and
+    # d <= 10, and on the tensor matrices for ell in {4, 8} and w <= 2.  The
+    # integer kernel runs past 8 s on seven of the one-color points (240 s at
+    # ell=2, d=10; 16 s at ell=4, d=9), so there the list kernel, run at
+    # p = 2, stands in for it
+    slow = {(2, 10), (4, 9), (4, 10), (8, 8), (8, 9), (8, 10), (16, 10)}  # one-color
+    points = [(ell, d, gram_matrix(ell, d)) for ell in (2, 4, 8, 16) for d in range(11)]
+    points += [(ell, w, tensor_gram_matrix(ell, w)) for ell in (4, 8) for w in range(3)]
+    for ell, d, x in points:
+        k = invariants._exponent_bounds(ell, d)[2] + 1
+        packed = linalg._local_exponents(x.data, 2, k)
+        if (ell, d) in slow:
+            assert (packed, 0) == linalg._list_exponents(x.data, 2, k), (ell, d)
+        else:
+            assert packed == _two_adic(integer_snf(x).invariant_factors), (ell, d, x.rows)
+
+
+def test_packed_two_adic_kernel_edge_cases():
+    local = linalg._local_exponents
+    # 1 x 1, negative entries included, at exactly enough precision and one
+    # digit short of it
+    for x in (1, -1, 2, -12, 40, -3 * 2 ** 70):
+        v = valuation(abs(x), 2)
+        assert local([[x]], 2, v + 1) == [v]
+        if v:
+            with pytest.raises(ArithmeticError,
+                               match=rf"^1 invariant factors are divisible by 2\^{v}$"):
+                local([[x]], 2, v)
+    # k = 1 reads the rank mod 2; [[1, 1], [1, 3]] has |det| 2
+    assert local([[1, 1], [0, -1]], 2, 1) == [0, 0]
+    assert local([[1, 1], [1, 3]], 2, 2) == [0, 1]
+    with pytest.raises(ArithmeticError, match=r"^1 invariant factors are divisible by 2\^1$"):
+        local([[1, 1], [1, 3]], 2, 1)
+    # rows whose only unit is in the last column, the top slot of the int
+    for rows in ([[2, 4, 1], [4, 2, 0], [0, 2, 6]], [[2, -4, 3], [-4, 2, 8], [6, 2, -10]]):
+        want = _two_adic(integer_snf(Matrix(rows)).invariant_factors)
+        assert local(rows, 2, max(want) + 1) == want, rows
+    # the exhausted precision on a builder matrix: gram_matrix(4, 6) has one
+    # factor 2^16
+    with pytest.raises(ArithmeticError, match=r"^1 invariant factors are divisible by 2\^16$"):
+        local(gram_matrix(4, 6).data, 2, 16)
+    # random nonsingular matrices with negative entries, at k = v_2(|det|) + 1
+    rng = random.Random(23)
+    seen = {"k=1": 0, "even": 0}
+    while min(seen.values()) < 10:
+        n = rng.randint(1, 7)
+        m = Matrix([[rng.randint(-40, 40) for _ in range(n)] for _ in range(n)])
+        det = abs(m.det())
+        if det:
+            v = valuation(det, 2)
+            assert local(m.data, 2, v + 1) == _two_adic(integer_snf(m).invariant_factors), m
+            seen["k=1" if not v else "even"] += 1
