@@ -339,16 +339,16 @@ def _matrix_output(args, as_json: bool):
         m = transition_p_to_m(args.d).matrix
     params = {"kind": kind, "ell": args.ell, "d": args.d, "snf": bool(args.snf)}
     if args.snf:
-        if kind == "X_ell":
+        if kind in ("X_ell", "B_ell"):
+            # |det B_ell| = ell^L(d) = |det X_ell|, and both share the bounds
             chain = inv._invariant_factors(m, args.ell, args.d)
         elif kind == "X_A":
             chain = inv._invariant_factors(m, args.ell, args.d, args.ell - 1)
         else:
-            # B_ell is diagonal and M_pm triangular, so Bareiss gives |det|
-            # at once; d! * M_pm^-1 is integral, and det M_pm has only primes p <= d
-            bounds = ({p: factorial_valuation(args.d, p) for p in range(2, args.d + 1)
-                       if is_prime(p)}
-                      if kind == "M_pm" else inv._exponent_bounds(args.ell, args.d))
+            # M_pm is triangular, so Bareiss gives |det| at once; d! * M_pm^-1
+            # is integral, and det M_pm has only primes p <= d
+            bounds = {p: factorial_valuation(args.d, p) for p in range(2, args.d + 1)
+                      if is_prime(p)}
             chain = smith_normal_form(m, det=abs(m.det()), bounds=bounds).invariant_factors
         if as_json:
             return {"command": "matrix", "params": params, "snf": [str(x) for x in chain]}

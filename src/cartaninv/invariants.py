@@ -497,7 +497,8 @@ def _det_exponent(k: int, d: int) -> int:
 def _invariant_factors(x: Matrix, ell: int, d: int, k: int = 1) -> tuple[int, ...]:
     """The Smith chain of the degree-d X of a k x k seed of determinant ell,
     [ell] (k = 1) or the Lie Cartan matrix (k = ell - 1), at |det X| =
-    ell^E(k, d) and the proven bounds."""
+    ell^E(k, d) and the proven bounds; for k = 1 also of its B =
+    diag(ell^length), which has the same |det| and is annihilated by ell^d."""
     return smith_normal_form(x, det=ell ** _det_exponent(k, d),
                              bounds=_exponent_bounds(ell, d)).invariant_factors
 
@@ -513,7 +514,7 @@ def verify_snf_conjecture(ell: int, d: int) -> VerificationReport:
     factorization = prime_factorization(ell)
     x = gram_matrix(ell, d)
     computed = _invariant_factors(x, ell, d)
-    predicted = graded_to_snf([g.value for g in graded_invariants(ell, d)])
+    predicted = graded_to_snf(_graded_multiset(ell, [0] * d + [1]))
     theorem = len(factorization) == 1 and factorization[0][1] <= factorization[0][0]
     match = computed == predicted
     if theorem:
@@ -665,26 +666,25 @@ def verify_determinants(ell: int, d_max: int,
                         matrix_d_max: int | None = None) -> VerificationReport:
     """Determinant identities for the one-color matrices.
 
-    The product of the graded invariant factors over partitions of d must
-    equal ell^(total length) for every d <= d_max.  Matrix determinants
-    are checked against the same power for d up to ``matrix_d_max``
-    (default: d_max), which may be lowered since the closed form is far
-    cheaper than a matrix build.  A negative d_max, which checks nothing, is
-    rejected, and the largest matrix is size-guarded before any work.
+    The product of the graded invariant factors over partitions of d, layer
+    d of one graded multiset, must equal ell^(total length) for every d <=
+    d_max.  Matrix determinants are checked against the same power for d
+    up to ``matrix_d_max`` (default: d_max), which may be lowered since the
+    closed form is far cheaper than a matrix build.  A negative d_max, which
+    checks nothing, is rejected, and the largest matrix is size-guarded
+    before any work.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     matrix_d_max = d_max if matrix_d_max is None else min(d_max, matrix_d_max)
     if matrix_d_max >= 0:
         _check_index(matrix_d_max)
+    layers = _graded_multiset(ell, [1] * (d_max + 1)).by_degree
     failures = []
     details = {}
     for d in range(d_max + 1):
-        ld = total_length(d)
-        expected = ell ** ld
-        product = 1
-        for lam in partitions(d):
-            product *= graded_invariant(lam, ell)
+        expected = ell ** total_length(d)
+        product = prod(v ** c for v, c in layers[d].items())
         entry = {"expected": expected, "theta_product": product}
         if product != expected:
             failures.append(d)

@@ -87,30 +87,11 @@ def power_to_monomial(lam: Partition) -> dict[Partition, int]:
     return {mu: c for mu, c in zip(partitions(lam.size), _row(lam.parts)) if c}
 
 
-def _fill(keys) -> Matrix:
-    """The matrix whose entry (i, j) is the product over colors c of the
-    coefficient of m_keys[j][c] in p_keys[i][c], for keys listing the part
-    tuples of each color.  One color takes the cached rows as they are; with
-    more, row i is the product of its colors' cached supports, every term of
-    which is a key of the same degree vector."""
-    if len(keys[0]) == 1:
-        return Matrix([_row(parts) for parts, in keys])
-    pos = {key: j for j, key in enumerate(keys)}
-    rows = []
-    for key in keys:
-        row = [0] * len(keys)
-        for terms in product(*map(_support, key)):
-            mus, coeffs = zip(*terms)
-            row[pos[mus]] = prod(coeffs)
-        rows.append(row)
-    return Matrix(rows)
-
-
 @lru_cache(maxsize=None)
 def transition_p_to_m(d: int) -> TransitionMatrix:
     """Degree-d matrix expressing power sums in monomials, canonical index."""
     index = tuple(partitions(d))
-    matrix = _fill([(lam.parts,) for lam in index])
+    matrix = Matrix([_row(lam.parts) for lam in index])
     return TransitionMatrix(degree=d, index=index, matrix=matrix)
 
 
@@ -119,10 +100,23 @@ def transition_tensor(k: int, d: int) -> TransitionMatrix:
     """Tensor transition matrix over the canonical multipartition index.
 
     The entry at (lam, mu) is the product over colors of the one-color
-    entries when the componentwise degrees agree, and zero otherwise.
+    entries when the componentwise degrees agree, and zero otherwise: row
+    lam is the product of its colors' cached supports, every term of which
+    is a multipartition of the same degree vector.  One color is
+    :func:`transition_p_to_m` itself, indexed by partitions.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k == 1:
+        return transition_p_to_m(d)
     index = tuple(multipartitions(k, d))
     keys = [tuple(comp.parts for comp in mp.components) for mp in index]
-    return TransitionMatrix(degree=d, index=index, matrix=_fill(keys))
+    pos = {key: j for j, key in enumerate(keys)}
+    rows = []
+    for key in keys:
+        row = [0] * len(keys)
+        for terms in product(*map(_support, key)):
+            mus, coeffs = zip(*terms)
+            row[pos[mus]] = prod(coeffs)
+        rows.append(row)
+    return TransitionMatrix(degree=d, index=index, matrix=Matrix(rows))

@@ -283,6 +283,27 @@ def test_verify_exit_codes(capsys):
     assert "summary: verified=" in out
 
 
+def test_verifiers_read_graded_multiset(capsys, monkeypatch):
+    # verify snf and verify det take the closed form from the graded
+    # multiset, which evaluates it on one-size partitions k^m only, not
+    # partition by partition
+    graded_invariant = inv.graded_invariant
+
+    def refuse(ell, d):
+        raise AssertionError(f"graded_invariants({ell}, {d}) evaluated per partition")
+
+    def one_size(lam, ell):
+        assert len(set(lam.parts)) <= 1, lam
+        return graded_invariant(lam, ell)
+
+    monkeypatch.setattr(inv, "graded_invariants", refuse)
+    monkeypatch.setattr(inv, "graded_invariant", one_size)
+    for argv in ("verify snf --ell 4 --dmax 8", "verify snf --ell 12 --d 6",
+                 "verify det --ell 6 --dmax 9"):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0 and "refuted" not in out and "mismatch" not in out, argv
+
+
 def test_exit_code_mapping():
     from cartaninv.cli import (
         EXIT_OK,

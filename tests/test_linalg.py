@@ -6,11 +6,11 @@ from math import prod
 import pytest
 
 import cartaninv.invariants as invariants
-from cartaninv import linalg
+from cartaninv import cli, linalg
 from cartaninv.invariants import (gram_matrix, graded_invariants, graded_to_snf, lie_cartan_matrix,
                                   tensor_gram_matrix, verify_reduction, verify_snf_conjecture)
 from cartaninv.linalg import Matrix, direct_sum, smith_normal_form, symmetric_power
-from cartaninv.partitions import total_length, valuation
+from cartaninv.partitions import partitions, total_length, valuation
 from oracles import integer_snf, snf_diagonal, symmetric_power_by_expansion, transpose
 
 
@@ -395,7 +395,7 @@ def test_block_determinant_matches_oracles():
     assert min(seen.values()) >= 5, seen
 
 
-def test_snf_computes_no_det(monkeypatch):
+def test_snf_computes_no_det(monkeypatch, capsys):
     # the local route takes |det| from its caller and computes none, on a
     # dense matrix and on the builders' matrices, whose |det| is in closed
     # form; verify_reduction's Bareiss on the seed transforms, outside the
@@ -420,6 +420,12 @@ def test_snf_computes_no_det(monkeypatch):
     assert verify_snf_conjecture(4, 9).status == "verified"
     assert verify_reduction(4, 3).status == "verified"
     assert calls and not any(calls)
+    # matrix B_ell --snf takes its |det| in closed form too, and runs no Bareiss
+    seen = len(calls)
+    assert cli.main(["matrix", "B_ell", "--ell", "4", "--d", "12", "--snf"]) == 0
+    assert len(calls) == seen
+    chain = graded_to_snf([4 ** lam.length for lam in partitions(12)])
+    assert capsys.readouterr().out == ", ".join(map(str, chain)) + "\n"
 
 
 def _two_adic(chain):

@@ -79,8 +79,19 @@ def test_evaluation_at_ones():
 
 
 def test_tensor_reduces_to_single_color():
+    # one color is the p-to-m transition itself, indexed by partitions
     for d in range(5):
-        assert transition_tensor(1, d).matrix == transition_p_to_m(d).matrix
+        assert transition_tensor(1, d) is transition_p_to_m(d)
+
+
+def test_one_color_builds_no_multipartitions(monkeypatch):
+    def refuse(k, d):
+        raise AssertionError(f"multipartitions({k}, {d}) built for one color")
+
+    transition_p_to_m.cache_clear()
+    transition_tensor.cache_clear()
+    monkeypatch.setattr(symfunc, "multipartitions", refuse)
+    assert invariants.gram_matrix(4, 9) == invariants.gram_matrix_oracle(4, 9)
 
 
 def test_tensor_degree_blocks():
