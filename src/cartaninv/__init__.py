@@ -3,7 +3,6 @@ symmetric groups: partitions, q-series, exact linear algebra, and the
 verification suites tying them together."""
 
 from .partitions import (
-    Multipartition,
     Partition,
     class_regular_partitions,
     factorial_valuation,

@@ -166,9 +166,9 @@ def gram_matrix(ell: int, d: int) -> Matrix:
 
 
 def tensor_gram_matrix(ell: int, d: int) -> Matrix:
-    """Multipartition-indexed analogue of :func:`gram_matrix` for the seed
-    equal to the type-A Lie Cartan matrix; its invariant factors are those
-    of a weight-d block of the full Cartan matrix."""
+    """The analogue of :func:`gram_matrix` over the (ell-1)-multipartitions
+    of d, for the seed equal to the type-A Lie Cartan matrix; its invariant
+    factors are those of a weight-d block of the full Cartan matrix."""
     _check_index(d, ell)
     return _conjugated(lie_cartan_matrix(ell), d)
 

@@ -81,40 +81,6 @@ class Partition:
         return f"Partition({self.parts!r})"
 
 
-class Multipartition:
-    """An ordered tuple of ``k`` partitions with a common total size."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        components = tuple(
-            c if isinstance(c, Partition) else Partition(c) for c in components
-        )
-        if not components:
-            raise ValueError("a multipartition needs at least one component")
-        self.components = components
-
-    @property
-    def size(self) -> int:
-        return sum(c.size for c in self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Multipartition) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
-    def __repr__(self):
-        inner = " | ".join(str(c.parts) for c in self.components)
-        return f"Multipartition({inner})"
-
-
 def _partition_tuples(d: int):
     """Yield the partitions of ``d`` as tuples in descending lexicographic order."""
     if d == 0:
@@ -140,15 +106,12 @@ def _partition_tuples(d: int):
 
 
 @lru_cache(maxsize=None)
-def _partitions_cached(d: int) -> tuple[Partition, ...]:
-    return tuple(Partition._trusted(t) for t in _partition_tuples(d))
-
-
-def partitions(d: int) -> list[Partition]:
-    """All partitions of ``d`` in canonical (descending lexicographic) order."""
+def partitions(d: int) -> tuple[Partition, ...]:
+    """All partitions of ``d`` in canonical (descending lexicographic) order,
+    as one cached tuple shared by every caller."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    return list(_partitions_cached(d))
+    return tuple(Partition._trusted(t) for t in _partition_tuples(d))
 
 
 def class_regular_partitions(d: int, ell: int) -> list[Partition]:
@@ -179,8 +142,9 @@ def color_sequences(lam: Partition, k: int) -> list[tuple[int, ...]]:
     return [sum(combo, ()) for combo in itertools.product(*pools)]
 
 
-def multipartitions(k: int, d: int) -> list[Multipartition]:
-    """All multipartitions with ``k`` components and total size ``d``.
+def multipartitions(k: int, d: int) -> list[tuple[Partition, ...]]:
+    """All multipartitions with ``k`` components and total size ``d``, each
+    a k-tuple of partitions.
 
     The order is canonical, by the pair (partition, colors): the outer loop
     runs over the flattened partition (all parts of all components) in
@@ -197,9 +161,7 @@ def multipartitions(k: int, d: int) -> list[Multipartition]:
             buckets: list[list[int]] = [[] for _ in range(k)]
             for part, c in zip(parts, colors):
                 buckets[c - 1].append(part)
-            mp = object.__new__(Multipartition)
-            mp.components = tuple(Partition._trusted(tuple(b)) for b in buckets)
-            out.append(mp)
+            out.append(tuple(Partition._trusted(tuple(b)) for b in buckets))
     return out
 
 

@@ -17,7 +17,7 @@ from itertools import compress, product
 from math import prod
 
 from .linalg import Matrix
-from .partitions import Partition, _partitions_cached, multipartitions, partitions
+from .partitions import Partition, multipartitions, partitions
 
 
 class TransitionMatrix(namedtuple("TransitionMatrix", "degree index matrix")):
@@ -69,7 +69,7 @@ def _row(parts: tuple[int, ...]) -> tuple[int, ...]:
     if not parts:
         return (1,)
     r, n, prev = parts[-1], sum(parts), _row(parts[:-1])
-    row = [0] * len(_partitions_cached(n))
+    row = [0] * len(partitions(n))
     for c, terms in compress(zip(prev, _times_power_sum(n - r, r)), prev):
         for j, t in terms:
             row[j] += c * t
@@ -90,14 +90,15 @@ def power_to_monomial(lam: Partition) -> dict[Partition, int]:
 @lru_cache(maxsize=None)
 def transition_p_to_m(d: int) -> TransitionMatrix:
     """Degree-d matrix expressing power sums in monomials, canonical index."""
-    index = tuple(partitions(d))
+    index = partitions(d)
     matrix = Matrix([_row(lam.parts) for lam in index])
     return TransitionMatrix(degree=d, index=index, matrix=matrix)
 
 
 @lru_cache(maxsize=None)
 def transition_tensor(k: int, d: int) -> TransitionMatrix:
-    """Tensor transition matrix over the canonical multipartition index.
+    """Tensor transition matrix over the canonical multipartition index,
+    whose labels are k-tuples of partitions.
 
     The entry at (lam, mu) is the product over colors of the one-color
     entries when the componentwise degrees agree, and zero otherwise: row
@@ -110,7 +111,7 @@ def transition_tensor(k: int, d: int) -> TransitionMatrix:
     if k == 1:
         return transition_p_to_m(d)
     index = tuple(multipartitions(k, d))
-    keys = [tuple(comp.parts for comp in mp.components) for mp in index]
+    keys = [tuple(c.parts for c in mp) for mp in index]
     pos = {key: j for j, key in enumerate(keys)}
     rows = []
     for key in keys:

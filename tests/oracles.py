@@ -16,8 +16,7 @@ from math import prod
 from types import MappingProxyType
 
 from cartaninv.linalg import Matrix
-from cartaninv.partitions import (Multipartition, Partition, factorial_valuation, is_prime,
-                                  multipartitions)
+from cartaninv.partitions import Partition, factorial_valuation, is_prime, multipartitions
 from cartaninv.series import Series
 
 
@@ -141,9 +140,9 @@ def core(lam: Partition, ell: int) -> Partition:
     return Partition(parts)
 
 
-def degree_vector(mp: Multipartition) -> tuple[int, ...]:
+def degree_vector(mp: tuple[Partition, ...]) -> tuple[int, ...]:
     """The sizes of the components of a multipartition."""
-    return tuple(c.size for c in mp.components)
+    return tuple(c.size for c in mp)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -303,7 +302,7 @@ def transition_by_support(k: int, d: int) -> Matrix:
     """The tensor transition over the k-multipartitions of d (k = 1: the
     p-to-m transition): entry (i, j) is the product over colors of the
     coefficient of m_mu_j in p_lam_i, read off the prefix-dict expansions."""
-    keys = [tuple(comp.parts for comp in mp.components) for mp in multipartitions(k, d)]
+    keys = [tuple(comp.parts for comp in mp) for mp in multipartitions(k, d)]
     return Matrix([[prod(power_sum_support(lam).get(mu, 0) for lam, mu in zip(row, col))
                     for col in keys] for row in keys])
 

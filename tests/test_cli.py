@@ -108,6 +108,12 @@ def test_usage_errors(capsys):
         ("verify det --ell 1", "ell must be >= 2"),
         ("verify reduction --ell 1", "ell must be >= 2"),
         ("verify kor --ell 1", "ell must be >= 2"),
+        ("invariants --ell 1 --n 3", "ell must be >= 2"),
+        # the series layer checks the truncation order before any output
+        ("verify series --order 600", "order must lie in 0..512"),
+        ("verify all --order 600", "order must lie in 0..512"),
+        ("series --name P --order 600", "order must lie in 0..512"),
+        ("verify series --order -1", "order must lie in 0..512"),
     ]:
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == "" and message in err, argv

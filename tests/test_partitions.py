@@ -106,6 +106,18 @@ def multipartition_count_convolution(k, limit):
     return conv
 
 
+def test_enumerations_are_tuples_of_partitions():
+    # partitions(d) is one cached tuple, and each multipartition a k-tuple
+    # of partitions whose sizes add up to d
+    assert partitions(6) is partitions(6)
+    assert isinstance(partitions(6), tuple)
+    for d in range(7):
+        for mp in multipartitions(3, d):
+            assert isinstance(mp, tuple) and len(mp) == 3
+            assert all(isinstance(c, Partition) for c in mp)
+            assert sum(c.size for c in mp) == d
+
+
 def test_multipartition_counts_and_order():
     assert len(multipartitions(2, 2)) == 5
     assert len(multipartitions(4, 2)) == 14
@@ -134,7 +146,7 @@ def test_multipartition_counts_binomial_oracle():
 
 
 def test_multipartition_canonical_order():
-    comps = [[c.parts for c in mp.components] for mp in multipartitions(2, 2)]
+    comps = [[c.parts for c in mp] for mp in multipartitions(2, 2)]
     # canonical: outer by flattened partition, inner by colors, so the pairs
     # ((2,), (1,)), ((2,), (2,)), ((1, 1), (1, 1)), ((1, 1), (1, 2)),
     # ((1, 1), (2, 2)) in turn
@@ -148,7 +160,7 @@ def test_multipartition_canonical_order():
         for d in range(7):
             keys = []
             for mp in multipartitions(k, d):
-                pairs = sorted((-p, c) for c, comp in enumerate(mp.components, 1)
+                pairs = sorted((-p, c) for c, comp in enumerate(mp, 1)
                                for p in comp.parts)
                 keys.append((tuple(p for p, _ in pairs), tuple(c for _, c in pairs)))
             assert keys == sorted(set(keys))

@@ -114,7 +114,7 @@ def test_tensor_entries_factor():
                 expected = 0
                 if degree_vector(a) == degree_vector(b):
                     expected = 1
-                    for ca, cb in zip(a.components, b.components):
+                    for ca, cb in zip(a, b):
                         tm = singles[ca.size]
                         expected *= tm.matrix[(tm.index.index(ca), tm.index.index(cb))]
                 assert t.matrix[(i, j)] == expected
