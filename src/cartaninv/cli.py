@@ -135,7 +135,8 @@ def _invariants_output(args, as_json: bool):
              "degree | invariants | multiplicity"]
     lines += [f"{d} | {', '.join(map(str, sorted(layer)))} | {column[d]}"
               for d, layer in layers]
-    lines.append("total multiset: " + " ".join(f"{v}^{m}" for v, m in ms.sorted_items()))
+    lines.append("total multiset: " + " ".join(
+        f"{v}^{m}" for v, m in sorted(ms.entries.items(), reverse=True)))
     return lines
 
 
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
             out, code = _verify_output(args, as_json)
         else:
             out = _COMMANDS[args.command](args, as_json)
-    except (_UsageError, ValueError, SizeGuardError) as exc:
+    except (_UsageError, ValueError, SizeGuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if as_json:

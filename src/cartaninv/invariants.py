@@ -20,8 +20,6 @@ from types import MappingProxyType
 from .linalg import Matrix, direct_sum, smith_normal_form, symmetric_power
 from .partitions import (
     Partition,
-    _factorial_valuation,
-    _valuation,
     factorial_valuation,
     is_prime,
     partitions,
@@ -251,9 +249,9 @@ def graded_invariant_prime_power(lam: Partition, p: int, r: int) -> int:
         raise ValueError("r must be >= 1")
     exponent = 0
     for n, m in lam.multiplicities().items():  # parts and multiplicities are >= 1
-        v = _valuation(n, p)
+        v = valuation(n, p)
         if v < r:
-            exponent += (r - v) * m + _factorial_valuation(m, p)
+            exponent += (r - v) * m + factorial_valuation(m, p)
     return p ** exponent
 
 
@@ -305,10 +303,6 @@ class InvariantMultiset:
 
     def total(self) -> int:
         return sum(self.entries.values())
-
-    def sorted_items(self) -> list[tuple[int, int]]:
-        """(value, multiplicity) pairs, largest value first."""
-        return sorted(self.entries.items(), reverse=True)
 
     def __eq__(self, other):
         return isinstance(other, InvariantMultiset) and self.entries == other.entries
@@ -405,35 +399,31 @@ def kor_invariants(ell: int, n: int) -> InvariantMultiset:
     return InvariantMultiset(entries=entries)
 
 
-def graded_to_snf(multiset) -> tuple[int, ...]:
-    """Invariant-factor chain of the diagonal matrix with the given entries.
+def graded_to_snf(entries: dict[int, int]) -> tuple[int, ...]:
+    """Invariant-factor chain of the diagonal matrix on which each value of
+    the {value: multiplicity} mapping ``entries`` appears that many times.
 
-    Per prime, the valuations of all entries are sorted ascending and the
-    sorted sequences are recombined positionwise; the result divides along
-    the chain and preserves both the product and every per-prime valuation
-    multiset.
+    Each distinct value is factored once.  Per prime, the (valuation,
+    multiplicity) pairs are sorted ascending and laid along the chain as
+    runs, after the entries prime to it; the result divides along the chain
+    and preserves both the product and every per-prime valuation multiset.
     """
-    if isinstance(multiset, InvariantMultiset):
-        items = multiset.entries.items()
-    elif isinstance(multiset, dict):
-        items = multiset.items()
-    else:
-        items = [(v, 1) for v in multiset]
-    values = []
-    for v, m in items:
-        if v < 1:
-            raise ValueError("entries must be positive")
-        values.extend([v] * m)
-    total = len(values)
-    primes = set()
-    for v in values:
+    total = 0
+    runs: dict[int, list[tuple[int, int]]] = {}
+    for v, m in entries.items():
+        if v < 1 or m < 0:
+            raise ValueError("values must be positive and multiplicities non-negative")
+        total += m
         if v > 1:
-            primes.update(p for p, _ in prime_factorization(v))
+            for p, e in prime_factorization(v):
+                runs.setdefault(p, []).append((e, m))
     chain = [1] * total
-    for p in sorted(primes):
-        vals = sorted(valuation(v, p) for v in values)
-        for i, e in enumerate(vals):
-            chain[i] *= p ** e
+    for p, pairs in runs.items():
+        start = total - sum(m for _, m in pairs)
+        for e, m in sorted(pairs):
+            power = p ** e
+            chain[start:start + m] = [c * power for c in chain[start:start + m]]
+            start += m
     return tuple(chain)
 
 
@@ -458,10 +448,6 @@ class VerificationReport:
         self.status = status
         self.witness = {} if witness is None else witness
 
-    @property
-    def ok(self) -> bool:
-        return self.status in ("verified", "unproven-match")
-
 
 def _exponent_bounds(ell: int, d: int) -> dict[int, int]:
     """{p: r*d + v_p(d!) for p^r exactly dividing ell}, the ``bounds`` of
@@ -475,7 +461,7 @@ def _exponent_bounds(ell: int, d: int) -> dict[int, int]:
     It equals the closed-form invariant at lam = (1^d) without using it.
     Its keys are every prime of |det X| = ell^E (:func:`_det_exponent`).
     """
-    return {p: r * d + _factorial_valuation(d, p) for p, r in prime_factorization(ell)}
+    return {p: r * d + factorial_valuation(d, p) for p, r in prime_factorization(ell)}
 
 
 def _det_exponent(k: int, d: int) -> int:
@@ -514,7 +500,7 @@ def verify_snf_conjecture(ell: int, d: int) -> VerificationReport:
     factorization = prime_factorization(ell)
     x = gram_matrix(ell, d)
     computed = _invariant_factors(x, ell, d)
-    predicted = graded_to_snf(_graded_multiset(ell, [0] * d + [1]))
+    predicted = graded_to_snf(_graded_multiset(ell, [0] * d + [1]).entries)
     theorem = len(factorization) == 1 and factorization[0][1] <= factorization[0][0]
     match = computed == predicted
     if theorem:

@@ -115,18 +115,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.data]!r})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
-
-    def _check_same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -158,9 +146,6 @@ class Matrix:
             raise ValueError("determinant requires a square matrix")
         if not self.is_integral():
             raise ValueError("determinant requires an integral matrix")
-        return self._det_bareiss()
-
-    def _det_bareiss(self) -> int:
         rows = self.data
         det = 1
         for start, stop in _diagonal_blocks(rows):

@@ -13,7 +13,8 @@ from functools import lru_cache
 
 
 class Partition:
-    """A weakly decreasing tuple of positive integer parts."""
+    """Weakly decreasing positive integer parts, the tuple ``parts``; hashed
+    and compared for equality only, neither iterable nor ordered."""
 
     __slots__ = ("parts",)
 
@@ -56,26 +57,11 @@ class Partition:
         """True iff no part is repeated ``ell`` or more times."""
         return all(m < ell for m in self.multiplicities().values())
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
         return hash(self.parts)
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __le__(self, other):
-        return self.parts <= other.parts
 
     def __repr__(self):
         return f"Partition({self.parts!r})"
@@ -180,11 +166,6 @@ def valuation(n: int, p: int) -> int:
     _require_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _valuation(n, p)
-
-
-def _valuation(n: int, p: int) -> int:
-    """:func:`valuation` for a caller that has checked p prime and n >= 1."""
     v = 0
     while n % p == 0:
         n //= p
@@ -197,12 +178,6 @@ def factorial_valuation(a: int, p: int) -> int:
     _require_prime(p)
     if a < 0:
         raise ValueError("a must be >= 0")
-    return _factorial_valuation(a, p)
-
-
-def _factorial_valuation(a: int, p: int) -> int:
-    """:func:`factorial_valuation` for a caller that has checked p prime
-    and a >= 0."""
     total = 0
     q = p
     while q <= a:

@@ -99,10 +99,6 @@ class Series:
         n = min(self.order, other.order)
         return Series([a + b for a, b in zip(self.coeffs, other.coeffs)], n)
 
-    def __sub__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)], n)
-
     def __mul__(self, other: "Series") -> "Series":
         """Truncated product by Kronecker substitution (Harvey 2009): each
         operand is packed into one signed int, one slot per coefficient, and

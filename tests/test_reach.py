@@ -1,9 +1,11 @@
 """Every definition in the package is reached: no dead helpers in src/.
 
-Each module-level function or class, and each method that is not a dunder,
-must be referenced somewhere in ``src/cartaninv`` by a ``Name`` or an
-``Attribute``, or be named in ``perfbench/spans.py``, which rebinds the
-functions it traces by name.  A helper that only the tests use belongs in
+Each module-level function or class must be read somewhere in
+``src/cartaninv`` as a ``Name`` or an ``Attribute``, and each method that is
+not a dunder as an ``Attribute``, off an instance or off its class by name;
+a local variable that shares a method's name does not reach it.  Either may
+instead be named in ``perfbench/spans.py``, which rebinds the functions it
+traces by name.  A helper that only the tests use belongs in
 ``tests/oracles.py``.
 """
 
@@ -40,21 +42,23 @@ def _definitions(module: str, tree: ast.Module):
 
 
 def _references(trees, classes):
-    """Bare names used as a Name or Attribute, plus ``Class.attr`` for an
-    attribute read off a package class by name, which reaches only that
-    class's member."""
-    bare, qualified = set(), set()
+    """Names read as a Name, attribute names read off anything but a package
+    class, and ``Class.attr`` for an attribute read off a package class by
+    name, which reaches only that class's member."""
+    names, attrs, qualified = set(), set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
             if isinstance(node, ast.Name):
-                bare.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 owner = node.value
                 if isinstance(owner, ast.Name) and owner.id in classes:
                     qualified.add(f"{owner.id}.{node.attr}")
                 else:
-                    bare.add(node.attr)
-    return bare, qualified
+                    attrs.add(node.attr)
+    return names, attrs, qualified
 
 
 def _named_in_spans():
@@ -73,15 +77,18 @@ def test_every_definition_is_reached():
     trees = _trees()
     classes = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, ast.ClassDef)}
-    bare, qualified = _references(trees, classes)
+    names, attrs, qualified = _references(trees, classes)
     spans = _named_in_spans()
     unreached = []
     for module, tree in trees.items():
         if module == "__init__":
             continue
         for qualname, owner, name in _definitions(module, tree):
-            reached = (name in bare or name in spans
-                       or (owner is not None and f"{owner}.{name}" in qualified))
+            if owner is None:
+                reached = name in names or name in attrs
+            else:
+                reached = name in attrs or f"{owner}.{name}" in qualified
+            reached = reached or name in spans
             if not reached and qualname not in ALLOWED:
                 unreached.append(qualname)
     assert not unreached, f"defined in src/ but reached by nothing: {unreached}"
