@@ -3,12 +3,10 @@ symmetric groups: partitions, q-series, exact linear algebra, and the
 verification suites tying them together."""
 
 from .partitions import (
-    Partition,
     class_regular_partitions,
     factorial_valuation,
     multipartitions,
     regular_partitions,
-    total_length,
     valuation,
 )
 from .series import (

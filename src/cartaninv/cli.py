@@ -2,8 +2,8 @@
 series, run the verification suites, and regenerate the golden files.
 
 Exit codes: 0 on success and for verified/unproven-match runs, 1 for usage
-or size-guard errors, 2 when a theorem-range claim fails, 3 when only
-conjecture-range comparisons mismatch.  All big integers are rendered as
+or size-guard errors or a stdout closed early, 2 when a theorem-range claim
+fails, 3 when only conjecture-range comparisons mismatch.  All big integers are rendered as
 decimal strings in json mode.  Each command renders only the format it
 prints: the table lines, or the json payload.
 """
@@ -414,10 +414,16 @@ def main(argv=None) -> int:
     if as_json:
         import json
 
-        print(json.dumps(out, sort_keys=True))
-    else:
+        out = [json.dumps(out, sort_keys=True)]
+    try:
         for line in out:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull, so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     return code
 
 

@@ -19,12 +19,12 @@ from types import MappingProxyType
 
 from .linalg import Matrix, direct_sum, smith_normal_form, symmetric_power
 from .partitions import (
-    Partition,
+    _check_parts,
     factorial_valuation,
     is_prime,
+    multiplicities,
     partitions,
     prime_factorization,
-    total_length,
     valuation,
 )
 from .series import (class_regular_series, count_multipartitions, count_partitions,
@@ -78,7 +78,7 @@ def length_power_diagonal(ell: int, d: int) -> Matrix:
     """diag(ell^length(lam)) over the canonical partition order."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    return Matrix.diagonal([ell ** lam.length for lam in partitions(d)])
+    return Matrix.diagonal([ell ** len(lam) for lam in partitions(d)])
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +92,7 @@ def _seed_block(seed: Matrix, mults: tuple[int, ...]) -> tuple:
 
 def _seed_blocks(seed: Matrix, d: int) -> list[tuple]:
     """The rows of each block of B, over the partitions of d in order."""
-    return [_seed_block(seed, tuple(lam.multiplicities().values())) for lam in partitions(d)]
+    return [_seed_block(seed, tuple(multiplicities(lam).values())) for lam in partitions(d)]
 
 
 def tensor_diagonal_blocks(seed: Matrix, d: int) -> Matrix:
@@ -196,10 +196,9 @@ def _scaled_h(n: int, ell: int) -> MappingProxyType:
     """
     out = {}
     for kappa in partitions(n):
-        if kappa.length <= ell:
-            orderings = factorial(ell) // factorial(ell - kappa.length)
-            out[kappa.parts] = orderings // prod(
-                map(factorial, kappa.multiplicities().values()))
+        if len(kappa) <= ell:
+            orderings = factorial(ell) // factorial(ell - len(kappa))
+            out[kappa] = orderings // prod(map(factorial, multiplicities(kappa).values()))
     return MappingProxyType(out)
 
 
@@ -214,9 +213,9 @@ def gram_matrix_oracle(ell: int, d: int) -> Matrix:
     cols = []
     for mu in index:
         img = {(): 1}
-        for part in mu.parts:
+        for part in mu:
             img = _h_dict_mul(img, _scaled_h(part, ell))
-        cols.append([img.get(lam.parts, 0) for lam in index])
+        cols.append([img.get(lam, 0) for lam in index])
     return Matrix(list(zip(*cols)))
 
 
@@ -225,7 +224,7 @@ def gram_matrix_oracle(ell: int, d: int) -> Matrix:
 
 
 class GradedInvariant(namedtuple("GradedInvariant", "value degree source")):
-    """One closed-form invariant factor, remembering where it came from."""
+    """One closed-form invariant factor and the partition it is attached to."""
 
     __slots__ = ()
 
@@ -238,25 +237,27 @@ def graded_invariants(ell: int, d: int) -> list[GradedInvariant]:
     ]
 
 
-def graded_invariant_prime_power(lam: Partition, p: int, r: int) -> int:
-    """Closed-form invariant factor attached to ``lam`` at the prime power p^r:
-    p^((r - v_p(n)) m_n + v_p(m_n!)) over parts n with multiplicity m_n and
-    v_p(n) < r.
+def graded_invariant_prime_power(lam, p: int, r: int) -> int:
+    """Closed-form invariant factor attached to the parts ``lam`` at the
+    prime power p^r: p^((r - v_p(n)) m_n + v_p(m_n!)) over parts n with
+    multiplicity m_n and v_p(n) < r.
     """
+    lam = _check_parts(lam)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("r must be >= 1")
     exponent = 0
-    for n, m in lam.multiplicities().items():  # parts and multiplicities are >= 1
+    for n, m in multiplicities(lam).items():  # parts and multiplicities are >= 1
         v = valuation(n, p)
         if v < r:
             exponent += (r - v) * m + factorial_valuation(m, p)
     return p ** exponent
 
 
-def graded_invariant(lam: Partition, ell: int) -> int:
+def graded_invariant(lam, ell: int) -> int:
     """Product of the prime-power invariants over the factorization of ell."""
+    lam = _check_parts(lam)
     if ell < 2:
         raise ValueError("ell must be >= 2")
     value = 1
@@ -265,19 +266,20 @@ def graded_invariant(lam: Partition, ell: int) -> int:
     return value
 
 
-def kor_number(mu: Partition, ell: int) -> int:
-    """Diagonal entry attached to an ell-class-regular partition.
+def kor_number(mu, ell: int) -> int:
+    """Diagonal entry attached to an ell-class-regular partition ``mu``.
 
     For each part value k with multiplicity m, writes f = floor(m / ell)
     and contributes (ell / gcd(ell, k))^f times, for every prime p of that
     quotient, the p-part of f!.
     """
+    mu = _check_parts(mu)
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    if not mu.is_class_regular(ell):
+    if not all(k % ell for k in mu):
         raise ValueError(f"{mu!r} has a part divisible by {ell}")
     value = 1
-    for k, m in mu.multiplicities().items():
+    for k, m in multiplicities(mu).items():
         f = m // ell
         if f:
             ell_k = ell // gcd(ell, k)
@@ -336,7 +338,7 @@ def _graded_multiset(ell: int, mults: list[int]) -> InvariantMultiset:
     sizes gives every layer; layer d must count p(d) partitions."""
     top = len(mults) - 1
     layers = _multiset_product(top, range(1, top + 1),
-                               lambda k, m: graded_invariant(Partition((k,) * m), ell))
+                               lambda k, m: graded_invariant((k,) * m, ell))
     counts = partition_series(top).coeffs
     entries: dict[int, int] = {}
     by_degree: dict[int, dict[int, int]] = {}
@@ -388,7 +390,7 @@ def kor_invariants(ell: int, n: int) -> InvariantMultiset:
         raise ValueError("n must be >= 0")
     top = n // ell
     checks = _multiset_product(top, [k for k in range(1, top + 1) if k % ell],
-                               lambda k, f: kor_number(Partition((k,) * (ell * f)), ell))
+                               lambda k, f: kor_number((k,) * (ell * f), ell))
     hats = regular_class_regular_series(ell, n).coeffs
     entries: dict[int, int] = {}
     for a, layer in enumerate(checks):
@@ -476,7 +478,9 @@ def _det_exponent(k: int, d: int) -> int:
     So the block contributes length(lam) * dim / k, an integer, and E(1, d)
     is the total length of the partitions of d.
     """
-    return sum(lam.length * prod(comb(m + k - 1, k - 1) for m in lam.multiplicities().values())
+    if k == 1:  # every dim is 1, so no multiplicities need counting
+        return sum(map(len, partitions(d)))
+    return sum(len(lam) * prod(comb(m + k - 1, k - 1) for m in multiplicities(lam).values())
                for lam in partitions(d)) // k
 
 
@@ -653,12 +657,12 @@ def verify_determinants(ell: int, d_max: int,
     """Determinant identities for the one-color matrices.
 
     The product of the graded invariant factors over partitions of d, layer
-    d of one graded multiset, must equal ell^(total length) for every d <=
-    d_max.  Matrix determinants are checked against the same power for d
-    up to ``matrix_d_max`` (default: d_max), which may be lowered since the
-    closed form is far cheaper than a matrix build.  A negative d_max, which
-    checks nothing, is rejected, and the largest matrix is size-guarded
-    before any work.
+    d of one graded multiset, must equal ell^E(1, d) (:func:`_det_exponent`)
+    for every d <= d_max.  Matrix determinants are checked against the same
+    power for d up to ``matrix_d_max`` (default: d_max), which may be
+    lowered since the closed form is far cheaper than a matrix build.  A
+    negative d_max, which checks nothing, is rejected, and the largest
+    matrix is size-guarded before any work.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
@@ -669,7 +673,7 @@ def verify_determinants(ell: int, d_max: int,
     failures = []
     details = {}
     for d in range(d_max + 1):
-        expected = ell ** total_length(d)
+        expected = ell ** _det_exponent(1, d)
         product = prod(v ** c for v, c in layers[d].items())
         entry = {"expected": expected, "theta_product": product}
         if product != expected:

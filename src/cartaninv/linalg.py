@@ -69,8 +69,8 @@ def _bareiss(m: list[list[int]]) -> int:
 
 
 class Matrix:
-    """Immutable dense matrix of ints; only :meth:`inverse` makes one with
-    rational entries."""
+    """Immutable dense matrix of ints, since cached transitions share theirs;
+    only :meth:`inverse` makes one with rational entries."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -82,9 +82,14 @@ class Matrix:
         cols = len(data[0])
         if any(len(row) != cols for row in data):
             raise ValueError("rows must all have the same length")
-        self.data = data
-        self.rows = len(data)
-        self.cols = cols
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", cols)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Matrix is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":

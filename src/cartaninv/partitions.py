@@ -1,9 +1,9 @@
 """Integer partitions, multipartitions, and partition-level statistics.
 
-Everything here is a pure function of immutable values.  The canonical
-ordering used throughout the package (and by all matrix indices) is
-descending lexicographic on the part tuples within a fixed size, so
-``(d)`` comes first and ``(1^d)`` last.
+A partition is its weakly decreasing tuple of parts, a multipartition a
+tuple of them, and everything here a pure function of immutable values.
+The canonical order of the package (and of all matrix indices) is
+descending lexicographic within a fixed size: ``(d,)`` first, ``(1,) * d`` last.
 """
 
 from __future__ import annotations
@@ -12,59 +12,23 @@ import itertools
 from functools import lru_cache
 
 
-class Partition:
-    """Weakly decreasing positive integer parts, the tuple ``parts``; hashed
-    and compared for equality only, neither iterable nor ordered."""
+def multiplicities(parts) -> dict[int, int]:
+    """Map part value -> number of occurrences, keys in order of first
+    occurrence (descending for a partition)."""
+    out: dict[int, int] = {}
+    for p in parts:
+        out[p] = out.get(p, 0) + 1
+    return out
 
-    __slots__ = ("parts",)
 
-    def __init__(self, parts=()):
-        parts = tuple(parts)
-        for i, p in enumerate(parts):
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"parts must be positive integers, got {p!r}")
-            if i and parts[i - 1] < p:
-                raise ValueError(f"parts must be weakly decreasing, got {parts}")
-        self.parts = parts
-
-    @classmethod
-    def _trusted(cls, parts: tuple) -> "Partition":
-        # enumeration-internal: parts already known weakly decreasing
-        self = object.__new__(cls)
-        self.parts = parts
-        return self
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        """Map part value -> number of occurrences, keys descending."""
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    def is_class_regular(self, ell: int) -> bool:
-        """True iff no part is divisible by ``ell``."""
-        return all(p % ell for p in self.parts)
-
-    def is_regular(self, ell: int) -> bool:
-        """True iff no part is repeated ``ell`` or more times."""
-        return all(m < ell for m in self.multiplicities().values())
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition({self.parts!r})"
+def _check_parts(parts) -> tuple[int, ...]:
+    """The parts as a tuple, or ``ValueError`` if one is not a positive int;
+    their order is not checked, as no result read from them depends on it."""
+    parts = tuple(parts)
+    for p in parts:
+        if not isinstance(p, int) or p < 1:
+            raise ValueError(f"parts must be positive integers, got {p!r}")
+    return parts
 
 
 def _partition_tuples(d: int):
@@ -92,29 +56,29 @@ def _partition_tuples(d: int):
 
 
 @lru_cache(maxsize=None)
-def partitions(d: int) -> tuple[Partition, ...]:
+def partitions(d: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of ``d`` in canonical (descending lexicographic) order,
-    as one cached tuple shared by every caller."""
+    as one cached tuple of parts tuples shared by every caller."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    return tuple(Partition._trusted(t) for t in _partition_tuples(d))
+    return tuple(_partition_tuples(d))
 
 
-def class_regular_partitions(d: int, ell: int) -> list[Partition]:
+def class_regular_partitions(d: int, ell: int) -> list[tuple[int, ...]]:
     """Partitions of ``d`` with no part divisible by ``ell``, canonical order."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    return [lam for lam in partitions(d) if lam.is_class_regular(ell)]
+    return [lam for lam in partitions(d) if all(p % ell for p in lam)]
 
 
-def regular_partitions(d: int, ell: int) -> list[Partition]:
+def regular_partitions(d: int, ell: int) -> list[tuple[int, ...]]:
     """Partitions of ``d`` in which every part occurs fewer than ``ell`` times."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    return [lam for lam in partitions(d) if lam.is_regular(ell)]
+    return [lam for lam in partitions(d) if all(m < ell for m in multiplicities(lam).values())]
 
 
-def color_sequences(lam: Partition, k: int) -> list[tuple[int, ...]]:
+def color_sequences(lam: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
     """All admissible color tuples for ``lam`` with colors in ``1..k``.
 
     Runs of equal parts carry weakly increasing colors; the list is in
@@ -123,12 +87,12 @@ def color_sequences(lam: Partition, k: int) -> list[tuple[int, ...]]:
     """
     pools = [
         list(itertools.combinations_with_replacement(range(1, k + 1), len(list(run))))
-        for _, run in itertools.groupby(lam.parts)
+        for _, run in itertools.groupby(lam)
     ]
     return [sum(combo, ()) for combo in itertools.product(*pools)]
 
 
-def multipartitions(k: int, d: int) -> list[tuple[Partition, ...]]:
+def multipartitions(k: int, d: int) -> list[tuple[tuple[int, ...], ...]]:
     """All multipartitions with ``k`` components and total size ``d``, each
     a k-tuple of partitions.
 
@@ -142,12 +106,11 @@ def multipartitions(k: int, d: int) -> list[tuple[Partition, ...]]:
         raise ValueError("k must be >= 1")
     out = []
     for lam in partitions(d):
-        parts = lam.parts
         for colors in color_sequences(lam, k):
             buckets: list[list[int]] = [[] for _ in range(k)]
-            for part, c in zip(parts, colors):
+            for part, c in zip(lam, colors):
                 buckets[c - 1].append(part)
-            out.append(tuple(Partition._trusted(tuple(b)) for b in buckets))
+            out.append(tuple(map(tuple, buckets)))
     return out
 
 
@@ -204,7 +167,3 @@ def prime_factorization(n: int) -> list[tuple[int, int]]:
         out.append((n, 1))
     return out
 
-
-def total_length(d: int) -> int:
-    """Sum of the number of parts over all partitions of ``d``."""
-    return sum(lam.length for lam in partitions(d))

@@ -17,7 +17,7 @@ from itertools import compress, product
 from math import prod
 
 from .linalg import Matrix
-from .partitions import Partition, multipartitions, partitions
+from .partitions import _check_parts, multipartitions, partitions
 
 
 class TransitionMatrix(namedtuple("TransitionMatrix", "degree index matrix")):
@@ -39,10 +39,9 @@ def _times_power_sum(d: int, r: int) -> tuple:
     by a backward scan over the larger parts, and its multiplicity is one
     more than the run of parts equal to v + r before j.
     """
-    pos = {nu.parts: j for j, nu in enumerate(partitions(d + r))}
+    pos = {nu: j for j, nu in enumerate(partitions(d + r))}
     table = []
-    for lam in partitions(d):
-        mu = lam.parts
+    for mu in partitions(d):
         values = mu + (0,)
         terms = []
         for i, v in enumerate(values):
@@ -79,19 +78,20 @@ def _row(parts: tuple[int, ...]) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _support(parts: tuple[int, ...]) -> tuple:
     """The (mu, coefficient) pairs of the nonzero entries of :func:`_row`."""
-    return tuple((mu.parts, c) for mu, c in zip(partitions(sum(parts)), _row(parts)) if c)
+    return tuple((mu, c) for mu, c in zip(partitions(sum(parts)), _row(parts)) if c)
 
 
-def power_to_monomial(lam: Partition) -> dict[Partition, int]:
-    """Expansion of the power sum of shape ``lam`` in the monomial basis."""
-    return {mu: c for mu, c in zip(partitions(lam.size), _row(lam.parts)) if c}
+def power_to_monomial(lam) -> dict[tuple[int, ...], int]:
+    """Expansion of the power sum of shape ``lam`` in the monomial basis; a
+    part that is not a positive int raises ``ValueError``."""
+    return dict(_support(_check_parts(lam)))
 
 
 @lru_cache(maxsize=None)
 def transition_p_to_m(d: int) -> TransitionMatrix:
     """Degree-d matrix expressing power sums in monomials, canonical index."""
     index = partitions(d)
-    matrix = Matrix([_row(lam.parts) for lam in index])
+    matrix = Matrix([_row(lam) for lam in index])
     return TransitionMatrix(degree=d, index=index, matrix=matrix)
 
 
@@ -111,12 +111,11 @@ def transition_tensor(k: int, d: int) -> TransitionMatrix:
     if k == 1:
         return transition_p_to_m(d)
     index = tuple(multipartitions(k, d))
-    keys = [tuple(c.parts for c in mp) for mp in index]
-    pos = {key: j for j, key in enumerate(keys)}
+    pos = {mp: j for j, mp in enumerate(index)}
     rows = []
-    for key in keys:
-        row = [0] * len(keys)
-        for terms in product(*map(_support, key)):
+    for mp in index:
+        row = [0] * len(index)
+        for terms in product(*map(_support, mp)):
             mus, coeffs = zip(*terms)
             row[pos[mus]] = prod(coeffs)
         rows.append(row)

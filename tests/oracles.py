@@ -16,18 +16,18 @@ from math import prod
 from types import MappingProxyType
 
 from cartaninv.linalg import Matrix
-from cartaninv.partitions import Partition, factorial_valuation, is_prime, multipartitions
+from cartaninv.partitions import factorial_valuation, is_prime, multipartitions, multiplicities
 from cartaninv.series import Series
 
 
-def partition_defect(lam: Partition, p: int) -> int:
+def partition_defect(lam: tuple[int, ...], p: int) -> int:
     """Sum of :func:`factorial_valuation` over the part multiplicities."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return sum(factorial_valuation(m, p) for m in lam.multiplicities().values())
+    return sum(factorial_valuation(m, p) for m in multiplicities(lam).values())
 
 
-def adic_decomposition(lam: Partition, base: int) -> list[Partition]:
+def adic_decomposition(lam: tuple[int, ...], base: int) -> list[tuple[int, ...]]:
     """Split ``lam`` into base-class-regular layers.
 
     A part ``n = base^i * n'`` with ``base`` not dividing ``n'`` contributes
@@ -36,30 +36,28 @@ def adic_decomposition(lam: Partition, base: int) -> list[Partition]:
     if base < 2:
         raise ValueError("base must be >= 2")
     layers: dict[int, list[int]] = {}
-    for n in lam.parts:
+    for n in lam:
         i = 0
         while n % base == 0:
             n //= base
             i += 1
         layers.setdefault(i, []).append(n)
     top = max(layers) if layers else 0
-    return [
-        Partition(sorted(layers.get(i, ()), reverse=True)) for i in range(top + 1)
-    ]
+    return [tuple(sorted(layers.get(i, ()), reverse=True)) for i in range(top + 1)]
 
 
-def recompose(layers, base: int) -> Partition:
+def recompose(layers, base: int) -> tuple[int, ...]:
     """Rebuild a partition from its layers: part n in layer i gives base^i * n."""
     if base < 2:
         raise ValueError("base must be >= 2")
     parts = []
     for i, layer in enumerate(layers):
         scale = base ** i
-        parts.extend(scale * n for n in layer.parts)
-    return Partition(sorted(parts, reverse=True))
+        parts.extend(scale * n for n in layer)
+    return tuple(sorted(parts, reverse=True))
 
 
-def regular_split(mu: Partition, ell: int) -> tuple[Partition, Partition]:
+def regular_split(mu: tuple[int, ...], ell: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a class-regular ``mu`` as hat + ell * check on multiplicities.
 
     The hat part keeps each multiplicity reduced mod ``ell`` (so it is both
@@ -68,29 +66,26 @@ def regular_split(mu: Partition, ell: int) -> tuple[Partition, Partition]:
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    if not mu.is_class_regular(ell):
+    if not all(r % ell for r in mu):
         raise ValueError(f"{mu!r} has a part divisible by {ell}")
     hat, check = [], []
-    for r, m in mu.multiplicities().items():
+    for r, m in multiplicities(mu).items():
         hat.extend([r] * (m % ell))
         check.extend([r] * (m // ell))
-    return (
-        Partition(sorted(hat, reverse=True)),
-        Partition(sorted(check, reverse=True)),
-    )
+    return tuple(sorted(hat, reverse=True)), tuple(sorted(check, reverse=True))
 
 
-def repeat_parts(lam: Partition, times: int) -> Partition:
+def repeat_parts(lam: tuple[int, ...], times: int) -> tuple[int, ...]:
     """Multiply every part multiplicity by ``times``."""
     if times < 1:
         raise ValueError("times must be >= 1")
     parts = []
-    for p in lam.parts:
+    for p in lam:
         parts.extend([p] * times)
-    return Partition(sorted(parts, reverse=True))
+    return tuple(sorted(parts, reverse=True))
 
 
-def glaisher(lam: Partition, ell: int) -> Partition:
+def glaisher(lam: tuple[int, ...], ell: int) -> tuple[int, ...]:
     """Classical multiplicity-expansion bijection onto regular partitions.
 
     Each multiplicity is written in base ``ell``; the digit at ell^i of the
@@ -100,19 +95,19 @@ def glaisher(lam: Partition, ell: int) -> Partition:
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    if not lam.is_class_regular(ell):
+    if not all(k % ell for k in lam):
         raise ValueError(f"{lam!r} has a part divisible by {ell}")
     parts = []
-    for k, m in lam.multiplicities().items():
+    for k, m in multiplicities(lam).items():
         scale = 1
         while m:
             m, digit = divmod(m, ell)
             parts.extend([scale * k] * digit)
             scale *= ell
-    return Partition(sorted(parts, reverse=True))
+    return tuple(sorted(parts, reverse=True))
 
 
-def core(lam: Partition, ell: int) -> Partition:
+def core(lam: tuple[int, ...], ell: int) -> tuple[int, ...]:
     """The ell-core, computed on first-column hook lengths.
 
     Beads are pushed down within their residue class mod ``ell``, which is
@@ -121,10 +116,10 @@ def core(lam: Partition, ell: int) -> Partition:
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    n = lam.length
+    n = len(lam)
     if n == 0:
-        return Partition()
-    beta = [lam.parts[i] + (n - 1 - i) for i in range(n)]
+        return ()
+    beta = [lam[i] + (n - 1 - i) for i in range(n)]
     counts = [0] * ell
     for b in beta:
         counts[b % ell] += 1
@@ -137,12 +132,12 @@ def core(lam: Partition, ell: int) -> Partition:
         part = b - (n - 1 - i)
         if part > 0:
             parts.append(part)
-    return Partition(parts)
+    return tuple(parts)
 
 
-def degree_vector(mp: tuple[Partition, ...]) -> tuple[int, ...]:
+def degree_vector(mp: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """The sizes of the components of a multipartition."""
-    return tuple(c.size for c in mp)
+    return tuple(map(sum, mp))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -302,7 +297,7 @@ def transition_by_support(k: int, d: int) -> Matrix:
     """The tensor transition over the k-multipartitions of d (k = 1: the
     p-to-m transition): entry (i, j) is the product over colors of the
     coefficient of m_mu_j in p_lam_i, read off the prefix-dict expansions."""
-    keys = [tuple(comp.parts for comp in mp) for mp in multipartitions(k, d)]
+    keys = multipartitions(k, d)
     return Matrix([[prod(power_sum_support(lam).get(mu, 0) for lam, mu in zip(row, col))
                     for col in keys] for row in keys])
 

@@ -220,6 +220,21 @@ def test_import_footprint():
     assert inverse_loads == "True"
 
 
+def test_closed_stdout_exits_quietly():
+    # the reader stops after 10 bytes while the command is still writing:
+    # its 108 kB exceed the pipe buffer, so a write or the final flush meets
+    # the closed pipe; the command exits 1 with no traceback on stderr
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    argv = [sys.executable, "-m", "cartaninv.cli", "invariants", "--ell", "6", "--n", "200"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b"ell=6 n=20"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err
+
+
 def test_size_guard_exit(capsys, monkeypatch):
     # a request past a size guard fails before any matrix is built, even
     # when the smaller degrees of its range are inside the guards
@@ -304,7 +319,7 @@ def test_verifiers_read_graded_multiset(capsys, monkeypatch):
         raise AssertionError(f"graded_invariants({ell}, {d}) evaluated per partition")
 
     def one_size(lam, ell):
-        assert len(set(lam.parts)) <= 1, lam
+        assert len(set(lam)) <= 1, lam
         return graded_invariant(lam, ell)
 
     monkeypatch.setattr(inv, "graded_invariants", refuse)
