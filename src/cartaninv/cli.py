@@ -3,9 +3,9 @@ series, run the verification suites, and regenerate the golden files.
 
 Exit codes: 0 on success and for verified/unproven-match runs, 1 for usage
 or size-guard errors or a stdout closed early, 2 when a theorem-range claim
-fails, 3 when only conjecture-range comparisons mismatch.  All big integers are rendered as
-decimal strings in json mode.  Each command renders only the format it
-prints: the table lines, or the json payload.
+fails, 3 when only conjecture-range comparisons mismatch.  All big
+integers are rendered as decimal strings in json mode.  Each command
+renders only the format it prints: the table lines, or the json payload.
 """
 
 from __future__ import annotations

@@ -85,7 +85,7 @@ def test_enumeration_order():
     for d in range(9):
         ps = list(partitions(d))
         assert ps == sorted(ps, reverse=True)
-        assert all(list(p) == sorted(p, reverse=True) and all(p) for p in ps)
+        assert all(list(p) == sorted(p, reverse=True) and min(p, default=1) > 0 for p in ps)
         assert len(set(ps)) == len(ps)
 
 
