@@ -1,6 +1,11 @@
 """Command-line surface: compute invariant multisets, print matrices and
 series, run the verification suites, and regenerate the golden files.
 
+One table, ``_TABLE``, gives each command's positional, flags, required
+flags and defaults; ``_parse`` reads argv from it and ``-h`` prints it.
+After the command come its positional and flags in any order, each flag
+as ``--flag value`` or ``--flag=value``, by its exact name.
+
 Exit codes: 0 on success and for verified/unproven-match runs, 1 for usage
 or size-guard errors or a stdout closed early, 2 when a theorem-range claim
 fails, 3 when only conjecture-range comparisons mismatch.  All big
@@ -10,9 +15,9 @@ renders only the format it prints: the table lines, or the json payload.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import invariants as inv
 from . import series as ser
@@ -36,60 +41,6 @@ GOLDEN_FILES = {
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures exit with code 1."""
-
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cartaninv", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = sub.add_parser("invariants", help="graded invariant multisets")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--n", type=int, help="full matrix at degree n")
-    p.add_argument("--weight", type=int, help="single block of this weight")
-    common(p)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=tuple(_VERIFIERS))
-    p.add_argument("--ell", type=int)
-    p.add_argument("--n", type=int)
-    degrees = p.add_mutually_exclusive_group()
-    degrees.add_argument("--d", type=int)
-    degrees.add_argument("--dmax", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--order", type=int,
-                   help=f"series truncation order (default {ser.DEFAULT_ORDER})")
-    common(p)
-
-    p = sub.add_parser("matrix", help="print a matrix or its invariant factors")
-    p.add_argument("kind", choices=("X_ell", "X_A", "B_ell", "M_pm"))
-    p.add_argument("--ell", type=int)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--snf", action="store_true")
-    common(p)
-
-    p = sub.add_parser("series", help="print coefficients of a named series")
-    p.add_argument("--name", required=True)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--order", type=int, default=ser.DEFAULT_ORDER,
-                   help="series truncation order")
-    common(p)
-
-    p = sub.add_parser("seed-tables", help="write the golden files")
-    p.add_argument("--dir", default="golden")
-    common(p)
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +340,97 @@ def _seed_tables_output(args, as_json: bool):
 # entry point
 
 
-# command -> the function that runs it and returns its json payload, or
-# its table lines, as the format asks
-_COMMANDS = {
-    "invariants": _invariants_output,
-    "matrix": _matrix_output,
-    "series": _series_output,
-    "seed-tables": _seed_tables_output,
+# command -> (the function that runs it and returns its json payload, or
+# its table lines, as the format asks, and for verify also the exit code;
+# its positional and that positional's choices, or None; its flags in
+# order, each typed int, str, a tuple of choices, or bool for a switch; its
+# required flags; its defaults other than None)
+_TABLE = {
+    "invariants": (_invariants_output, None, {"ell": int, "n": int, "weight": int},
+                   ("ell",), {}),
+    "verify": (_verify_output, ("suite", tuple(_VERIFIERS)),
+               dict.fromkeys(("ell", "n", "d", "dmax", "a", "b", "order"), int), (), {}),
+    "matrix": (_matrix_output, ("kind", ("X_ell", "X_A", "B_ell", "M_pm")),
+               {"ell": int, "d": int, "snf": bool}, ("d",), {"snf": False}),
+    "series": (_series_output, None, {"name": str, "ell": int, "k": int, "order": int},
+               ("name",), {"order": ser.DEFAULT_ORDER}),
+    "seed-tables": (_seed_tables_output, None, {"dir": str}, (), {"dir": "golden"}),
 }
+_FORMAT = {"format": ("table", "json")}  # every command's, default table
+
+
+def _usage(command: str) -> str:
+    """The commands, or the positional choices and flags of ``command``."""
+    if command not in _TABLE:
+        return f"usage: cartaninv {{{','.join(_TABLE)}}} ... (-h after one lists its flags)"
+    _, positional, flags, required, _ = _TABLE[command]
+    words = ["{%s}" % ",".join(positional[1])] if positional else []
+    for flag, kind in {**flags, **_FORMAT}.items():
+        word = f"--{flag}" + ("" if kind is bool else " {%s}" % ",".join(kind)
+                              if isinstance(kind, tuple) else f" {flag.upper()}")
+        words.append(word if flag in required else f"[{word}]")
+    return f"usage: cartaninv {command} " + " ".join(words)
+
+
+def _value(name: str, kind, value: str):
+    """``value`` as ``kind``: one of a tuple of choices, an int or a str."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise _UsageError(f"argument {name}: invalid choice: {value!r} "
+                          f"(choose from {', '.join(kind)})")
+    try:
+        return kind(value)
+    except ValueError:
+        raise _UsageError(f"argument {name}: invalid int value: {value!r}") from None
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command, its positional, and each of its flags as given last or
+    defaulted; the positional and the flags come in any order."""
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    command = _value("command", tuple(_TABLE), argv[0])
+    _, positional, flags, required, defaults = _TABLE[command]
+    flags = {**flags, **_FORMAT}
+    words, given = [], dict(defaults, format="table")
+    for token in (tokens := iter(argv[1:])):
+        if not token.startswith("--"):
+            words.append(token)
+            continue
+        flag, eq, value = token[2:].partition("=")
+        kind = flags.get(flag)
+        if kind is None or (kind is bool and eq):
+            raise _UsageError(f"unrecognized arguments: {token}")
+        if kind is not bool and not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"argument --{flag}: expected one argument")
+        given[flag] = True if kind is bool else _value(f"--{flag}", kind, value)
+    if {"d", "dmax"} <= given.keys():
+        raise _UsageError("argument --dmax: not allowed with argument --d")
+    missing = [positional[0]] if positional and not words else []
+    missing += [f"--{flag}" for flag in required if flag not in given]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    head = {positional[0]: _value(*positional, words.pop(0))} if positional else {}
+    if words:
+        raise _UsageError(f"unrecognized arguments: {' '.join(words)}")
+    return SimpleNamespace(command=command, **head, **{f: given.get(f) for f in flags})
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    as_json, code = False, EXIT_OK
     try:
-        args = _build_parser().parse_args(argv)
-        as_json = args.format == "json"
-        code = EXIT_OK
-        if args.command == "verify":
-            out, code = _verify_output(args, as_json)
+        if "-h" in argv or "--help" in argv:
+            out = [_usage(argv[0])]
         else:
-            out = _COMMANDS[args.command](args, as_json)
+            args = _parse(argv)
+            as_json = args.format == "json"
+            out = _TABLE[args.command][0](args, as_json)
+            if args.command == "verify":
+                out, code = out
     except (_UsageError, ValueError, SizeGuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -83,8 +83,9 @@ def _support(parts: tuple[int, ...]) -> tuple:
 
 def power_to_monomial(lam) -> dict[tuple[int, ...], int]:
     """Expansion of the power sum of shape ``lam`` in the monomial basis; a
-    part that is not a positive int raises ``ValueError``."""
-    return dict(_support(_check_parts(lam)))
+    part that is not a positive int raises ``ValueError``.  The parts are
+    sorted first, so that each shape is cached once, whatever their order."""
+    return dict(_support(tuple(sorted(_check_parts(lam), reverse=True))))
 
 
 @lru_cache(maxsize=None)

@@ -153,6 +153,41 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 1 and out == "" and "error:" in err
 
 
+def test_command_line_syntax(capsys):
+    # each was a usage error under argparse too, and an abbreviated flag now
+    # is one: exit 1, empty stdout and one error line
+    for argv in ["", "nope", "verify", "verify nope", "matrix Y --d 2",
+                 "verify snf --ell 4 --format xml", "verify snf --ell x",
+                 "verify snf --ell", "verify snf --ell --d 2", "matrix X_ell --ell 4",
+                 "series", "verify snf kor", "verify snf --ell 4 --dm 9",
+                 "matrix X_ell --ell 4 --d 2 --snf=1"]:
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == "" and err.startswith("error: "), argv
+        assert err.count("\n") == 1, argv
+    # --flag=value reads as --flag value, the flags and the positional come
+    # in any order, and a repeated flag keeps its last value
+    for forms in [("verify snf --ell 4 --d 2", "verify snf --ell=4 --d=2",
+                   "verify --ell 4 snf --d 2", "verify --ell 4 --d 2 snf",
+                   "verify snf --ell 3 --d 2 --ell 4"),
+                  ("matrix X_A --ell 4 --d 2 --snf --format json",
+                   "matrix --snf --format=json X_A --d=2 --ell 4")]:
+        outs = set()
+        for argv in forms:
+            code, out, err = run(capsys, *argv.split())
+            assert code == 0 and err == "", argv
+            outs.add(out)
+        assert len(outs) == 1, forms
+    # -h or --help prints the commands, or a command's positional choices and
+    # flags, and exits 0
+    commands = ("invariants", "verify", "matrix", "series", "seed-tables")
+    verify = ("series", "det", "snf", "splitting", "reduction", "kor", "all", "--ell",
+              "--n", "--d", "--dmax", "--a", "--b", "--order", "--format")
+    for argv, names in [("-h", commands), ("--help", commands), ("verify -h", verify),
+                        ("verify --help", verify), ("verify snf --ell 4 -h", verify)]:
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and err == "" and all(n in out for n in names), argv
+
+
 # stdout sha256 of whole runs; verify all, verify kor and the n = 200
 # invariants are also pinned by perfbench/run.py
 STDOUT_DIGESTS = {
@@ -197,26 +232,34 @@ def test_stdout_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, line
 
 
+# modules that reading the command line need not load: argparse pulls in
+# gettext, and gettext locale
+ARGPARSE = {"argparse", "gettext", "locale"}
 # modules a command process need not load: dataclasses pulls in inspect, ast,
 # dis and tokenize, fractions pulls in decimal, and json serves only the json
 # format
 UNUSED_AT_IMPORT = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions",
-                    "decimal", "json", "typing"}
+                    "decimal", "json", "typing"} | ARGPARSE
 
 
 def test_import_footprint():
     # without site, which may import typing itself, importing the CLI loads
-    # none of them; fractions comes in with the first Matrix.inverse
+    # none of them, and a command loads no argument parser; fractions comes
+    # in with the first Matrix.inverse
     script = ("import sys, cartaninv.cli\n"
               "print(' '.join(sorted(sys.modules)))\n"
+              "code = cartaninv.cli.main(['verify', 'kor', '--ell', '2', '--n', '0'])\n"
+              "print(code, ' '.join(sorted(sys.modules)))\n"
               "cartaninv.cli.inv.Matrix([[2]]).inverse()\n"
               "print('fractions' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     out = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    loaded, inverse_loads = out.splitlines()
-    assert "cartaninv.cli" in loaded.split()
-    assert not UNUSED_AT_IMPORT & set(loaded.split())
+    lines = out.splitlines()
+    loaded, after_command, inverse_loads = lines[0].split(), lines[-2].split(), lines[-1]
+    assert "cartaninv.cli" in loaded
+    assert not UNUSED_AT_IMPORT & set(loaded)
+    assert after_command[0] == "0" and not ARGPARSE & set(after_command)
     assert inverse_loads == "True"
 
 

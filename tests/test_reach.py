@@ -19,7 +19,6 @@ SPANS = ROOT / "perfbench" / "spans.py"
 # entry points that nothing in src/ calls by name
 ALLOWED = {
     "cli.main",  # the console script
-    "cli._Parser.error",  # argparse calls its override itself
 }
 
 

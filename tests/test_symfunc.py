@@ -32,8 +32,12 @@ def test_small_matrices():
 
 
 def test_power_to_monomial_support():
+    symfunc._support.cache_clear()
     sup = power_to_monomial((2, 1))
     assert sup == {(3,): 1, (2, 1): 1}
+    # the parts are sorted before the cache, so each shape is cached once
+    assert power_to_monomial((1, 2)) == sup
+    assert symfunc._support.cache_info().currsize == 1
 
 
 def test_power_to_monomial_against_definition():
